@@ -5,8 +5,8 @@
 // for all four reductions; plus the serving engine's QueryBatch
 // (fresh result vectors per call) against a warm QueryBatchInto
 // (per-worker arenas + recycled slots); plus the SelectTopK strategy
-// crossover sweep that fixes the k*log2(|pool|) < |pool| boundary in
-// common/kselect.h.
+// crossover sweep (partial_sort / nth_element+sort / radix) that fixes
+// the boundaries of the three-way rule in common/kselect.h.
 //
 // Allocations are counted by replacing the global operator new in this
 // TU (process-wide, so the figure covers reductions, substrates, and
@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -236,47 +237,101 @@ void MeasureEngine(const char* name, const S& s, size_t threads) {
               scratch_ar, 1e9 / scratch_ns);
 }
 
-// ---- SelectTopK strategy crossover: partial_sort vs nth_element+sort.
+// ---- SelectTopK strategy crossover: partial_sort vs nth_element+sort
+// vs the radix path (the three kselect_internal::Strategy values).
 
+using kselect_internal::Strategy;
+
+const char* StrategyName(Strategy s) {
+  switch (s) {
+    case Strategy::kHeap:
+      return "partial_sort";
+    case Strategy::kNthElement:
+      return "nth_element";
+    case Strategy::kRadix:
+      return "radix";
+  }
+  return "?";
+}
+
+// Mean ns of one selection of the k heaviest of `base` into *out,
+// sorted. The pool copy stays outside the timed region.
 double TimeSelect(const std::vector<Point1D>& base,
-                  std::vector<Point1D>* buf, size_t k, bool heap) {
+                  std::vector<Point1D>* buf, std::vector<Point1D>* out,
+                  size_t k, Strategy strategy) {
   constexpr int kTrials = 8;
   double total_ns = 0;
   for (int t = 0; t < kTrials; ++t) {
-    *buf = base;  // copy outside the timed region
+    *buf = base;
     const auto t0 = std::chrono::steady_clock::now();
-    if (heap) {
-      std::partial_sort(buf->begin(), buf->begin() + static_cast<long>(k),
-                        buf->end(), ByWeightDesc());
-      buf->resize(k);
-    } else {
-      std::nth_element(buf->begin(), buf->begin() + static_cast<long>(k),
-                       buf->end(), ByWeightDesc());
-      buf->resize(k);
-      std::sort(buf->begin(), buf->end(), ByWeightDesc());
+    switch (strategy) {
+      case Strategy::kHeap:
+        std::partial_sort(buf->begin(), buf->begin() + static_cast<long>(k),
+                          buf->end(), ByWeightDesc());
+        out->assign(buf->begin(), buf->begin() + static_cast<long>(k));
+        break;
+      case Strategy::kNthElement:
+        std::nth_element(buf->begin(), buf->begin() + static_cast<long>(k),
+                         buf->end(), ByWeightDesc());
+        std::sort(buf->begin(), buf->begin() + static_cast<long>(k),
+                  ByWeightDesc());
+        out->assign(buf->begin(), buf->begin() + static_cast<long>(k));
+        break;
+      case Strategy::kRadix:
+        kselect_internal::RadixTopKInto(buf, k, out);
+        break;
     }
     const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(buf->data());
+    benchmark::DoNotOptimize(out->data());
     total_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
   }
   return total_ns / kTrials;
 }
 
+// Bitwise equality: same ids and same weight bits, in the same order.
+bool SameOutput(const std::vector<Point1D>& a,
+                const std::vector<Point1D>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::bit_cast<uint64_t>(a[i].weight) !=
+            std::bit_cast<uint64_t>(b[i].weight)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void CrossoverRow(const std::vector<Point1D>& base,
                   std::vector<Point1D>* buf, size_t k) {
+  constexpr Strategy kAll[] = {Strategy::kHeap, Strategy::kNthElement,
+                               Strategy::kRadix};
   const size_t m = base.size();
-  double heap_ns = 1e300, nth_ns = 1e300;
+  double best_ns[3] = {1e300, 1e300, 1e300};
+  std::vector<Point1D> outs[3];
   for (int rep = 0; rep < kReps; ++rep) {
-    heap_ns = std::min(heap_ns, TimeSelect(base, buf, k, true));
-    nth_ns = std::min(nth_ns, TimeSelect(base, buf, k, false));
+    for (size_t s = 0; s < 3; ++s) {
+      best_ns[s] =
+          std::min(best_ns[s], TimeSelect(base, buf, &outs[s], k, kAll[s]));
+    }
   }
-  const bool heap_won = heap_ns <= nth_ns;
-  const bool shipped = kselect_internal::UseHeapSelect(k, m);
-  std::printf("%8zu %8zu %12.1f %12.1f %13s %13s %6s\n", m, k,
-              heap_ns / 1e3, nth_ns / 1e3,
-              heap_won ? "partial_sort" : "nth_element",
-              shipped ? "partial_sort" : "nth_element",
-              heap_won == shipped ? "yes" : "NO");
+  // Every strategy returns the same answer, bit for bit (the CI bench
+  // smoke fails here on any divergence), and so does the shipped entry.
+  std::vector<Point1D> shipped_out;
+  *buf = base;
+  SelectTopKInto(buf, k, &shipped_out);
+  TOPK_CHECK(SameOutput(outs[0], outs[1]));
+  TOPK_CHECK(SameOutput(outs[0], outs[2]));
+  TOPK_CHECK(SameOutput(outs[0], shipped_out));
+  size_t winner = 0;
+  for (size_t s = 1; s < 3; ++s) {
+    if (best_ns[s] < best_ns[winner]) winner = s;
+  }
+  const Strategy shipped = kselect_internal::ChooseStrategy(k, m);
+  std::printf("%8zu %8zu %10.1f %10.1f %10.1f %13s %13s %6s\n", m, k,
+              best_ns[0] / 1e3, best_ns[1] / 1e3, best_ns[2] / 1e3,
+              StrategyName(kAll[winner]), StrategyName(shipped),
+              kAll[winner] == shipped ? "yes" : "NO");
 }
 
 void Run() {
@@ -312,18 +367,23 @@ void Run() {
   }
 
   std::printf(
-      "\nSelectTopK strategy crossover vs the shipped UseHeapSelect rule\n"
-      "(common/kselect.h): k <= m/512 on cache-resident pools,\n"
-      "k^2 < 10m beyond ~8K elements\n");
-  std::printf("%8s %8s %12s %12s %13s %13s %6s\n", "m", "k", "heap us",
-              "nth us", "winner", "shipped", "agree");
-  for (const size_t m :
-       {size_t{1} << 10, size_t{1} << 13, size_t{1} << 16}) {
+      "\nSelectTopK strategy crossover vs the shipped three-way rule\n"
+      "(common/kselect.h ChooseStrategy): partial_sort while k <= m/512\n"
+      "on cache-resident pools or k^2 < 10m beyond ~8K elements, else\n"
+      "radix from k >= %zu, else nth_element + sort\n",
+      kselect_internal::kRadixMinK);
+  std::printf("%8s %8s %10s %10s %10s %13s %13s %6s\n", "m", "k",
+              "heap us", "nth us", "radix us", "winner", "shipped",
+              "agree");
+  for (const size_t m : {size_t{1} << 10, size_t{1} << 13,
+                         size_t{1} << 16, size_t{1} << 17}) {
     const std::vector<Point1D> base = bench::Points1D(m, 71);
     std::vector<Point1D> buf;
     buf.reserve(m);
-    for (const size_t k : {size_t{2}, size_t{8}, size_t{32}, size_t{128},
-                           size_t{512}, size_t{2048}}) {
+    for (const size_t k :
+         {size_t{2}, size_t{8}, size_t{32}, size_t{128}, size_t{512},
+          size_t{1024}, size_t{2048}, size_t{4096}, size_t{8192},
+          size_t{32768}, size_t{65536}}) {
       if (k >= m) break;
       CrossoverRow(base, &buf, k);
     }
@@ -331,8 +391,8 @@ void Run() {
   std::printf(
       "\nExpected shape: scratch path within noise of (or faster than)\n"
       "the alloc path with 0 allocs/q once warm; the shipped rule agrees\n"
-      "with the measured winner except within noise of the boundary,\n"
-      "where the two strategies are near-equal cost.\n");
+      "with the measured winner except within noise of a boundary,\n"
+      "where the neighbouring strategies are near-equal cost.\n");
 }
 
 }  // namespace

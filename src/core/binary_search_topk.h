@@ -100,8 +100,7 @@ void BinarySearchTopKQueryInto(
   }
   MonitoredPool<Element> fin =
       MonitoredQuery(pri, q, tau, pri.size() + 1, scratch, stats, tracer);
-  SelectTopK(&fin.elements, k);
-  out->assign(fin.elements.begin(), fin.elements.end());
+  SelectTopKInto(&fin.elements, k, out);
 }
 
 // Value-returning compatibility form (owns a throwaway Scratch; may

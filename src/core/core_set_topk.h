@@ -182,8 +182,7 @@ class CoreSetTopK {
       }
       MonitoredPool<Element> all =
           MonitoredQuery(pri, q, kNegInf, n_ + 1, scratch, stats, tracer);
-      SelectTopK(&all.elements, k);
-      out->assign(all.elements.begin(), all.elements.end());
+      SelectTopKInto(&all.elements, k, out);
       return;
     }
 
@@ -211,8 +210,7 @@ class CoreSetTopK {
       MonitoredPool<Element> probe =
           MonitoredQuery(pri, q, kNegInf, budget, scratch, stats, tracer);
       if (!probe.hit_budget) {
-        SelectTopK(&probe.elements, k);
-        out->assign(probe.elements.begin(), probe.elements.end());
+        SelectTopKInto(&probe.elements, k, out);
         return;
       }
     }  // budget-hit probe pool returns to the arena before the ladder
@@ -251,8 +249,7 @@ class CoreSetTopK {
       FallbackInto(q, k, scratch, out, stats, tracer, par);
       return;
     }
-    SelectTopK(&fetched.elements, k);
-    out->assign(fetched.elements.begin(), fetched.elements.end());
+    SelectTopKInto(&fetched.elements, k, out);
   }
 
  private:

@@ -100,8 +100,7 @@ class CountingTopK {
     }
     MonitoredPool<Element> fetched =
         MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats);
-    SelectTopK(&fetched.elements, k);
-    out->assign(fetched.elements.begin(), fetched.elements.end());
+    SelectTopKInto(&fetched.elements, k, out);
   }
 
  private:

@@ -245,8 +245,7 @@ class SampledTopK {
                            tracer);
         if (!probe.hit_budget) {
           round.Arg("verdict", kRoundProbeComplete);
-          SelectTopK(&probe.elements, k);
-          out->assign(probe.elements.begin(), probe.elements.end());
+          SelectTopKInto(&probe.elements, k, out);
           return;
         }
       }  // budget-hit probe pool returns to the arena before step 3
@@ -270,8 +269,7 @@ class SampledTopK {
       if (!fetched.hit_budget &&
           static_cast<double>(fetched.elements.size()) > level.K) {
         round.Arg("verdict", kRoundSuccess);
-        SelectTopK(&fetched.elements, k);
-        out->assign(fetched.elements.begin(), fetched.elements.end());
+        SelectTopKInto(&fetched.elements, k, out);
         return;
       }
       round.Arg("verdict", kRoundMiss);
@@ -400,8 +398,7 @@ class SampledTopK {
     }
     MonitoredPool<Element> all =
         MonitoredQuery(*pri_, q, kNegInf, n_ + 1, scratch, stats, tracer);
-    SelectTopK(&all.elements, k);
-    out->assign(all.elements.begin(), all.elements.end());
+    SelectTopKInto(&all.elements, k, out);
   }
 
   // Global rebuilding keeps the K_i ladder matched to the current n;

@@ -152,6 +152,10 @@ class QueryEngine {
 
   size_t num_threads() const { return pool_.num_threads(); }
 
+  // Worker `t`'s scratch arena (diagnostics: tests pin that its pools
+  // stop growing once warm). Read it only between batches.
+  const Scratch& worker_scratch(size_t t) const { return *scratches_[t]; }
+
   // Shards each request may split its dominant loop across (1 =
   // serial); reflects the oversubscription clamp, so tests and
   // benchmarks can report the effective value.

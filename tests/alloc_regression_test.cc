@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kselect.h"
 #include "common/random.h"
+#include "common/scratch.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
@@ -95,6 +97,11 @@ constexpr size_t kN = 1500;
 std::vector<Point1D> Data() {
   Rng rng(1234);
   return test::RandomPoints1D(kN, &rng);
+}
+
+std::vector<Point1D> DeepKData(size_t n) {
+  Rng rng(8192);
+  return test::RandomPoints1D(n, &rng);
 }
 
 // Diverse single-worker batch: mixed k, mixed ranges, one cost-budgeted
@@ -274,6 +281,83 @@ TEST(AllocRegression, CountingTopKZeroSteadyStateAllocs) {
   Counting s(Data());
   ExpectZeroAllocSteadyState(s);
   ExpectZeroAllocSteadyStateThreaded(s);
+}
+
+// Deep-k serial steady state: k in [kRadixMinK, n/2] puts every final
+// selection over the radix threshold, and the radix path must sort
+// through memory that already exists (the pool's free tail or the
+// result slot). So besides 0 allocs/request, no worker's arena may grow
+// past warm-up: the same pools, each with the same free buffers. One
+// and two request workers; Warmup() primes every arena on every
+// request so the assignment race cannot serve a cold request.
+template <typename Structure>
+void ExpectDeepKSteadyState(const Structure& s, size_t n, size_t threads) {
+  using Engine = serve::QueryEngine<Structure>;
+  typename Engine::Options options;
+  options.num_threads = threads;
+  Engine engine(&s, options);
+
+  Rng rng(2048 + threads);
+  std::vector<typename Engine::Request> requests;
+  for (size_t i = 0; i < 12; ++i) {
+    typename Engine::Request r;
+    const double lo = 0.2 * rng.NextDouble();
+    r.predicate = Range1D{lo, 1.0 - 0.2 * rng.NextDouble()};
+    r.k = kselect_internal::kRadixMinK +
+          rng.Below(n / 2 - kselect_internal::kRadixMinK + 1);
+    requests.push_back(r);
+  }
+
+  engine.Warmup(requests);
+  std::vector<typename Engine::Result> results;
+  for (int warm = 0; warm < 2; ++warm) {
+    engine.QueryBatchInto(requests, &results);
+  }
+  std::vector<std::pair<size_t, size_t>> arenas;  // (pools, free buffers)
+  for (size_t t = 0; t < engine.num_threads(); ++t) {
+    const Scratch& scratch = engine.worker_scratch(t);
+    arenas.emplace_back(scratch.num_pools(), scratch.free_count<Point1D>());
+  }
+
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int it = 0; it < 4; ++it) {
+    engine.QueryBatchInto(requests, &results);
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "deep-k steady state allocated, threads="
+                        << threads;
+  for (size_t t = 0; t < engine.num_threads(); ++t) {
+    const Scratch& scratch = engine.worker_scratch(t);
+    EXPECT_EQ(scratch.num_pools(), arenas[t].first) << "worker " << t;
+    EXPECT_EQ(scratch.free_count<Point1D>(), arenas[t].second)
+        << "worker " << t;
+  }
+
+  const std::vector<Point1D> data = DeepKData(n);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "request " << i;
+    EXPECT_EQ(test::IdsOf(results[i].elements),
+              test::IdsOf(test::BruteTopK<Range1DProblem>(
+                  data, requests[i].predicate, requests[i].k)))
+        << "request " << i;
+  }
+}
+
+template <typename Structure>
+void ExpectDeepKSteadyStateAllWorkerCounts() {
+  constexpr size_t kDeepN = size_t{1} << 13;
+  const Structure s(DeepKData(kDeepN));
+  ExpectDeepKSteadyState(s, kDeepN, 1);
+  ExpectDeepKSteadyState(s, kDeepN, 2);
+}
+
+TEST(AllocRegression, DeepKRadixSelectZeroAllocsNoArenaGrowth) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  ExpectDeepKSteadyStateAllWorkerCounts<Thm1>();
+  ExpectDeepKSteadyStateAllWorkerCounts<Thm2>();
+  ExpectDeepKSteadyStateAllWorkerCounts<Baseline>();
+  ExpectDeepKSteadyStateAllWorkerCounts<Counting>();
 }
 
 // Sharded-kernel data: big enough for every mirror to engage.
