@@ -19,8 +19,6 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,8 +27,6 @@
 #include "common/stats.h"
 #include "core/problem.h"
 #include "core/sink.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -47,22 +43,13 @@ namespace topk {
 // to id tie-breaks), so the first index whose weight admits >= k matches
 // admits *exactly* k — one final un-budgeted query then fetches the
 // answer.
-//
-// Intra-query parallelism: the O(log n) probes are budgeted (budget k)
-// and stay serial, but the final fetch is un-budgeted (budget n + 1, a
-// degenerate full fetch) and runs through the sharded flat kernel when
-// the caller supplies a mirror + context AND names the Problem
-// explicitly (BinarySearchTopKQueryInto<Problem>(...)); the default
-// Problem = void keeps legacy call sites serial and deduction-friendly.
-template <typename Problem = void, typename Pri, typename Predicate,
+template <typename Pri, typename Predicate,
           typename Element = typename Pri::Element>
 void BinarySearchTopKQueryInto(
     const Pri& pri, const std::vector<double>& weights_desc,
     const Predicate& q, size_t k, Scratch* scratch,
     std::vector<Element>* out, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr,
-    [[maybe_unused]] const parallel::FlatMirror<Element>* mirror = nullptr,
-    [[maybe_unused]] parallel::Context* par = nullptr) {
+    trace::Tracer* tracer = nullptr) {
   out->clear();
   if (k == 0 || weights_desc.empty()) return;
   if (k > weights_desc.size()) k = weights_desc.size();
@@ -90,14 +77,6 @@ void BinarySearchTopKQueryInto(
   const double tau = (lo < weights_desc.size())
                          ? weights_desc[lo]
                          : -std::numeric_limits<double>::infinity();
-  if constexpr (!std::is_void_v<Problem>) {
-    if (mirror != nullptr &&
-        parallel::ShouldShard(par, pri.size(), pri.size() + 1)) {
-      ShardedFetchInto<Problem>(*mirror, q, tau, k, par, scratch, out,
-                                stats, tracer);
-      return;
-    }
-  }
   MonitoredPool<Element> fin =
       MonitoredQuery(pri, q, tau, pri.size() + 1, scratch, stats, tracer);
   SelectTopKInto(&fin.elements, k, out);
@@ -131,9 +110,7 @@ class BinarySearchTopK {
   using Prioritized = Pri;
 
   explicit BinarySearchTopK(std::vector<Element> data)
-      : weights_desc_(MakeWeights(data)),
-        mirror_(MakeMirror(data)),
-        pri_(std::move(data)) {}
+      : weights_desc_(MakeWeights(data)), pri_(std::move(data)) {}
 
   size_t size() const { return pri_.size(); }
 
@@ -144,15 +121,12 @@ class BinarySearchTopK {
   }
 
   // Scratch-threaded form: zero allocations once `scratch` and *out are
-  // warm (the serving engine's steady-state path). `par` shards the
-  // final un-budgeted fetch; probes stay serial.
+  // warm (the serving engine's steady-state path).
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
-                 trace::Tracer* tracer = nullptr,
-                 parallel::Context* par = nullptr) const {
-    BinarySearchTopKQueryInto<Problem>(
-        pri_, weights_desc_, q, k, scratch, out, stats, tracer,
-        mirror_.has_value() ? &*mirror_ : nullptr, par);
+                 trace::Tracer* tracer = nullptr) const {
+    BinarySearchTopKQueryInto(pri_, weights_desc_, q, k, scratch, out,
+                              stats, tracer);
   }
 
   const Pri& prioritized() const { return pri_; }
@@ -166,15 +140,7 @@ class BinarySearchTopK {
     return w;
   }
 
-  static std::optional<parallel::FlatMirror<Element>> MakeMirror(
-      const std::vector<Element>& data) {
-    if (data.size() < parallel::kMinShardedN) return std::nullopt;
-    return parallel::FlatMirror<Element>(data);
-  }
-
   std::vector<double> weights_desc_;
-  // SoA copy for the sharded final fetch; engaged iff n >= kMinShardedN.
-  std::optional<parallel::FlatMirror<Element>> mirror_;
   Pri pri_;
 };
 

@@ -49,15 +49,34 @@ struct BudgetedRun {
   size_t stages = 0;  // top-k' queries issued
 };
 
+// Answers one top-k query into *out (replacing its contents) through
+// the best entry point `s` offers: the reductions' scratch-threaded,
+// traced QueryInto, else the Query every TopKStructure has. The one
+// dispatch point for callers generic over the structure (the stages
+// below, serve::QueryEngine).
+template <typename S>
+  requires TopKStructure<S>
+void TopKQueryInto(const S& s, const typename S::Predicate& q, size_t k,
+                   Scratch* scratch, std::vector<typename S::Element>* out,
+                   QueryStats* stats, trace::Tracer* tracer) {
+  if constexpr (requires {
+                  s.QueryInto(q, k, scratch, out, stats, tracer);
+                }) {
+    s.QueryInto(q, k, scratch, out, stats, tracer);
+  } else {
+    *out = s.Query(q, k, stats);
+  }
+}
+
 // Runs staged top-k' queries against `s` until the answer is complete
 // (k' reached k, or the structure ran out of matches) or should_stop()
 // returns true between stages, writing each stage's answer into *out —
 // ONE buffer reused across the whole doubling ladder (and, when the
 // caller recycles it, across requests). should_stop is any callable
 // examining external state — a cost tally, a deadline clock, a
-// cancellation flag. Structures that implement the scratch-threaded
-// QueryInto are served allocation-free; plain TopKStructures fall back
-// to move-assigning their freshly built result.
+// cancellation flag. Each stage goes through TopKQueryInto, so
+// structures with the scratch-threaded QueryInto are served
+// allocation-free.
 template <typename S, typename StopFn>
   requires TopKStructure<S>
 BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
@@ -78,24 +97,9 @@ BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
   for (;;) {
     ++run.stages;
     {
-      // The TopKStructure concept only guarantees Query(q, kp, stats);
-      // prefer the scratch-threaded QueryInto when the structure has
-      // one, and pass the tracer through when it is accepted.
       trace::Span stage(tracer, "budgeted_stage", stats);
       stage.Arg("kp", kp);
-      if constexpr (requires {
-                      s.QueryInto(q, kp, scratch, out, stats, tracer);
-                    }) {
-        s.QueryInto(q, kp, scratch, out, stats, tracer);
-      } else if constexpr (requires {
-                             s.QueryInto(q, kp, scratch, out, stats);
-                           }) {
-        s.QueryInto(q, kp, scratch, out, stats);
-      } else if constexpr (requires { s.Query(q, kp, stats, tracer); }) {
-        *out = s.Query(q, kp, stats, tracer);
-      } else {
-        *out = s.Query(q, kp, stats);
-      }
+      TopKQueryInto(s, q, kp, scratch, out, stats, tracer);
     }
     if (kp >= k || out->size() < kp) {
       // Either the full k was answered or the structure has fewer than

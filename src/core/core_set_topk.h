@@ -46,8 +46,6 @@
 #include "core/reduction_options.h"
 #include "core/sink.h"
 #include "core/top_f.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -143,31 +141,26 @@ class CoreSetTopK {
   // candidate pool across the small-k chain, the large-k ladder, the
   // full scan, and the binary-search fallback lives in a buffer
   // borrowed from `scratch`, so a warm arena and a warm *out serve the
-  // query with zero heap allocations. `par` (nullable) shards the
-  // degenerate monitored fetches — the full scan, an unreachable probe
-  // budget, the oversized ladder fetch, and the chain's level walks —
-  // across intra-query workers; results are bit-identical either way.
+  // query with zero heap allocations.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
-                 trace::Tracer* tracer = nullptr,
-                 parallel::Context* par = nullptr) const {
+                 trace::Tracer* tracer = nullptr) const {
     out->clear();
     if (k == 0 || n_ == 0) return;
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     const Pri& pri = chain_->level0();
-    const parallel::FlatMirror<Element>* mirror = chain_->level0_mirror();
     trace::Span span(tracer, "thm1_query", stats);
     span.Arg("k", k);
 
     if (k <= f_) {
       std::optional<ScratchVec<Element>> top =
-          chain_->QueryTopF(q, scratch, stats, tracer, par);
+          chain_->QueryTopF(q, scratch, stats, tracer);
       if (top.has_value()) {
         const size_t take = std::min(k, top->size());  // already sorted desc
         out->assign(top->begin(), top->begin() + take);
         return;
       }
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
+      FallbackInto(q, k, scratch, out, stats, tracer);
       return;
     }
 
@@ -175,11 +168,6 @@ class CoreSetTopK {
       // Read everything: O(n/B) = O(k/B).
       span.Arg("full_scan", 1);
       if (stats != nullptr) ++stats->full_scans;
-      if (mirror != nullptr && parallel::ShouldShard(par, n_, n_ + 1)) {
-        ShardedFetchInto<Problem>(*mirror, q, kNegInf, k, par, scratch,
-                                  out, stats, tracer);
-        return;
-      }
       MonitoredPool<Element> all =
           MonitoredQuery(pri, q, kNegInf, n_ + 1, scratch, stats, tracer);
       SelectTopKInto(&all.elements, k, out);
@@ -199,14 +187,7 @@ class CoreSetTopK {
     // this query probed — the per-query attribution E23 cares about.
     span.Arg("core_set_level", i);
     const size_t budget = static_cast<size_t>(4.0 * K) + 1;
-    if (mirror != nullptr && parallel::ShouldShard(par, n_, budget)) {
-      const size_t matched = ShardedFetchInto<Problem>(
-          *mirror, q, kNegInf, k, par, scratch, out, stats, tracer);
-      // matched < budget <=> the serial probe completes under budget
-      // and *out already holds its k-selection.
-      if (matched < budget) return;
-      out->clear();  // budget hit: continue to the ladder
-    } else {
+    {
       MonitoredPool<Element> probe =
           MonitoredQuery(pri, q, kNegInf, budget, scratch, stats, tracer);
       if (!probe.hit_budget) {
@@ -215,17 +196,17 @@ class CoreSetTopK {
       }
     }  // budget-hit probe pool returns to the arena before the ladder
     if (i == 0 || i > large_k_chains_.size()) {
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
+      FallbackInto(q, k, scratch, out, stats, tracer);
       return;
     }
 
     std::optional<ScratchVec<Element>> top =
-        large_k_chains_[i - 1].QueryTopF(q, scratch, stats, tracer, par);
+        large_k_chains_[i - 1].QueryTopF(q, scratch, stats, tracer);
     const size_t rank = CoreSetRank(n_, Problem::kLambda,
                                     options_.constant_scale);
     if (!top.has_value() || top->size() < rank) {
       top.reset();
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
+      FallbackInto(q, k, scratch, out, stats, tracer);
       return;
     }
     const double tau = (*top)[rank - 1].weight;
@@ -233,20 +214,10 @@ class CoreSetTopK {
 
     // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
     const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
-    if (mirror != nullptr && parallel::ShouldShard(par, n_, fetch_budget)) {
-      const size_t matched = ShardedFetchInto<Problem>(
-          *mirror, q, tau, k, par, scratch, out, stats, tracer);
-      // hit_budget <=> matched >= fetch_budget; |fetched| < k <=>
-      // matched < k — the same two failure tests as the serial path.
-      if (matched >= fetch_budget || matched < k) {
-        FallbackInto(q, k, scratch, out, stats, tracer, par);
-      }
-      return;
-    }
     MonitoredPool<Element> fetched = MonitoredQuery(
         pri, q, tau, fetch_budget, scratch, stats, tracer);
     if (fetched.hit_budget || fetched.elements.size() < k) {
-      FallbackInto(q, k, scratch, out, stats, tracer, par);
+      FallbackInto(q, k, scratch, out, stats, tracer);
       return;
     }
     SelectTopKInto(&fetched.elements, k, out);
@@ -270,12 +241,11 @@ class CoreSetTopK {
 
   void FallbackInto(const Predicate& q, size_t k, Scratch* scratch,
                     std::vector<Element>* out, QueryStats* stats,
-                    trace::Tracer* tracer, parallel::Context* par) const {
+                    trace::Tracer* tracer) const {
     trace::Instant(tracer, "fallback");
     if (stats != nullptr) ++stats->fallbacks;
-    BinarySearchTopKQueryInto<Problem>(chain_->level0(), weights_desc_, q,
-                                       k, scratch, out, stats, tracer,
-                                       chain_->level0_mirror(), par);
+    BinarySearchTopKQueryInto(chain_->level0(), weights_desc_, q, k, scratch,
+                              out, stats, tracer);
   }
 
   ReductionOptions options_;

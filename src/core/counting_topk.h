@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,8 +33,7 @@
 #include "common/stats.h"
 #include "core/problem.h"
 #include "core/sink.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
+#include "trace/tracer.h"
 
 namespace topk {
 
@@ -67,16 +65,15 @@ class CountingTopK {
   // Scratch-threaded form writing into *out (cleared first): the final
   // fetch pool is borrowed from `scratch`, so a warm arena and a warm
   // *out serve the query with zero heap allocations (the binary search
-  // itself only issues counting probes). The counting probes stay
-  // serial (they are the cheap O(Q_cnt log n) head); the final tally
-  // fetch is un-budgeted (n + 1, always degenerate) and runs sharded
-  // when `par` is present.
+  // itself only issues counting probes).
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
-                 parallel::Context* par = nullptr) const {
+                 trace::Tracer* tracer = nullptr) const {
     out->clear();
     if (k == 0 || n_ == 0) return;
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    trace::Span span(tracer, "counting_query", stats);
+    span.Arg("k", k);
 
     // Largest threshold (smallest index in weights_desc_) with
     // count >= k; counts are monotone in the index.
@@ -93,13 +90,8 @@ class CountingTopK {
     }
     const double tau = lo < weights_desc_.size() ? weights_desc_[lo]
                                                  : kNegInf;
-    if (mirror_.has_value() && parallel::ShouldShard(par, n_, n_ + 1)) {
-      ShardedFetchInto<Problem>(*mirror_, q, tau, k, par, scratch, out,
-                                stats, /*tracer=*/nullptr);
-      return;
-    }
     MonitoredPool<Element> fetched =
-        MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats);
+        MonitoredQuery(pri_, q, tau, n_ + 1, scratch, stats, tracer);
     SelectTopKInto(&fetched.elements, k, out);
   }
 
@@ -109,16 +101,10 @@ class CountingTopK {
     for (const Element& e : *data) weights_desc_.push_back(e.weight);
     std::sort(weights_desc_.begin(), weights_desc_.end(),
               std::greater<double>());
-    // SoA mirror for the sharded tally fetch (see parallel/flat_scan.h);
-    // engaged iff the set is big enough to ever shard. mirror_ precedes
-    // pri_ in declaration order, so it is alive while this initializer
-    // for pri_ runs.
-    if (data->size() >= parallel::kMinShardedN) mirror_.emplace(*data);
     return std::move(*data);
   }
 
   std::vector<double> weights_desc_;
-  std::optional<parallel::FlatMirror<Element>> mirror_;
   Counter counter_;
   Pri pri_;
   size_t n_;

@@ -46,8 +46,6 @@
 #include "core/problem.h"
 #include "core/reduction_options.h"
 #include "core/sink.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -113,7 +111,6 @@ class SampledTopK {
   // forward checks alone). Aborts via TOPK_CHECK on violation.
   void AuditInvariants() const {
     TOPK_CHECK(pri_.has_value());
-    if (mirror_.has_value()) TOPK_CHECK_EQ(mirror_->size(), n_);
     size_t expected_levels = 0;
     double K = base_k_;
     for (; K <= static_cast<double>(built_n_) / 4.0;
@@ -187,8 +184,7 @@ class SampledTopK {
   // heap allocations.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
-                 trace::Tracer* tracer = nullptr,
-                 parallel::Context* par = nullptr) const {
+                 trace::Tracer* tracer = nullptr) const {
     out->clear();
     if (k == 0 || n_ == 0) return;
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -208,7 +204,7 @@ class SampledTopK {
       }
     }
     if (i == levels_.size()) {
-      ScanAllInto(q, k, scratch, out, stats, tracer, par);
+      ScanAllInto(q, k, scratch, out, stats, tracer);
       return;
     }
 
@@ -222,24 +218,8 @@ class SampledTopK {
       round.Arg("level", j);
       round.Arg("K", static_cast<uint64_t>(level.K));
 
-      // Step 1: if |q(D)| <= 4K_j the monitored query completes. A
-      // degenerate round (4K_j + 1 > n: the budget is unreachable, the
-      // probe is a monitored full fetch) runs through the sharded
-      // kernel instead — the exact count reproduces the completion
-      // test, and since matched <= n < budget the round always ends
-      // here, so steps 2-4 (whose fetch shares this budget) are never
-      // reached sharded.
-      if (mirror_.has_value() &&
-          parallel::ShouldShard(par, n_, budget)) {
-        const size_t matched = ShardedFetchInto<Problem>(
-            *mirror_, q, kNegInf, k, par, scratch, out, stats, tracer);
-        if (matched < budget) {
-          round.Arg("verdict", kRoundProbeComplete);
-          return;
-        }
-        out->clear();  // unreachable (budget > n_); protocol safety
-      } else {
-        // Step 1, serial.
+      // Step 1: if |q(D)| <= 4K_j the monitored query completes.
+      {
         MonitoredPool<Element> probe =
             MonitoredQuery(*pri_, q, kNegInf, budget, scratch, stats,
                            tracer);
@@ -275,7 +255,7 @@ class SampledTopK {
       round.Arg("verdict", kRoundMiss);
     }
     // Terminal: read the whole D.
-    ScanAllInto(q, k, scratch, out, stats, tracer, par);
+    ScanAllInto(q, k, scratch, out, stats, tracer);
   }
 
   // --- Dynamic interface (requires dynamic Pri and Max) -----------------
@@ -299,7 +279,6 @@ class SampledTopK {
     }
     pri_->Insert(e);
     ++n_;
-    if (mirror_.has_value()) mirror_->Add(e);
     for (uint32_t j = 0; j < static_cast<uint32_t>(levels_.size()); ++j) {
       if (rng_.Bernoulli(1.0 / levels_[j].K)) {
         levels_[j].max.Insert(e);
@@ -319,7 +298,6 @@ class SampledTopK {
     pri_->Erase(e);
     TOPK_CHECK(n_ > 0);
     --n_;
-    if (mirror_.has_value()) mirror_->Remove(e.id);
     const auto it = membership_.find(e.id);
     TOPK_CHECK(it != membership_.end());  // every live element has one
     for (uint32_t j : it->second) levels_[j].max.Erase(e);
@@ -373,29 +351,15 @@ class SampledTopK {
       }
       levels_.push_back(Level{K, max_factory_(std::move(sample))});
     }
-    // SoA mirror for the sharded degenerate rounds / terminal scan;
-    // (re)engaged per rebuild iff the set is big enough to ever shard,
-    // then maintained incrementally by Insert/Erase until the next
-    // rebuild re-evaluates.
-    mirror_.reset();
-    if (n_ >= parallel::kMinShardedN) mirror_.emplace(data);
     pri_.emplace(pri_factory_(std::move(data)));
   }
 
   void ScanAllInto(const Predicate& q, size_t k, Scratch* scratch,
                    std::vector<Element>* out, QueryStats* stats,
-                   trace::Tracer* tracer = nullptr,
-                   parallel::Context* par = nullptr) const {
+                   trace::Tracer* tracer = nullptr) const {
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     trace::Span span(tracer, "thm2_scan", stats);
     if (stats != nullptr) ++stats->full_scans;
-    // Budget n + 1 is always degenerate: the terminal scan is the
-    // sharded kernel's home turf.
-    if (mirror_.has_value() && parallel::ShouldShard(par, n_, n_ + 1)) {
-      ShardedFetchInto<Problem>(*mirror_, q, kNegInf, k, par, scratch,
-                                out, stats, tracer);
-      return;
-    }
     MonitoredPool<Element> all =
         MonitoredQuery(*pri_, q, kNegInf, n_ + 1, scratch, stats, tracer);
     SelectTopKInto(&all.elements, k, out);
@@ -428,9 +392,6 @@ class SampledTopK {
   // optional<> lets Build construct the structure after sampling; always
   // engaged outside the constructor.
   std::optional<Pri> pri_;
-  // SoA copy for the sharded kernel; engaged iff built_n_ was >=
-  // parallel::kMinShardedN, maintained by Insert/Erase between rebuilds.
-  std::optional<parallel::FlatMirror<Element>> mirror_;
   std::vector<Level> levels_;
   // Dynamic instantiations: one entry per LIVE element (the value lists
   // the levels whose sample holds it, possibly none) — completeness is

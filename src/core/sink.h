@@ -28,8 +28,6 @@
 
 #include "common/scratch.h"
 #include "common/stats.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -143,49 +141,6 @@ MonitoredPool<E> MonitoredQuery(const S& s, const Pred& q, double tau,
   out.hit_budget = pool.size() >= budget;
   span.Arg("hit_budget", out.hit_budget ? 1 : 0);
   return out;
-}
-
-// Accounting for a degenerate monitored fetch executed as a sharded
-// flat scan (parallel::FlatScanTopKInto). The protocol-visible charges
-// are identical to the MonitoredQuery the kernel replaces — one
-// prioritized query issued, every tau-qualifying match emitted (budget
-// > n means the serial query could never be cut off, so emitted ==
-// matched) — while the structural work is the scan itself: `scanned`
-// flat slots visited instead of a substrate traversal (the ScanTopK
-// convention). Lives here so the single-charge-site rule keeps holding:
-// the kernel itself charges nothing, callers charge exactly once, after
-// the merge, on the calling thread.
-inline void ChargeFlatScan(QueryStats* stats, size_t scanned,
-                           size_t emitted) {
-  if (stats == nullptr) return;
-  ++stats->prioritized_queries;
-  AddEmitted(stats, emitted);
-  AddNodes(stats, scanned);
-}
-
-// Degenerate monitored fetch (budget > n: a full fetch the budget can
-// never cut off) executed as the sharded flat kernel. Writes the
-// min(k, matched) heaviest tau-qualifying matches of q into *out,
-// sorted heaviest-first, and returns the EXACT match count — which
-// reproduces every protocol decision the serial MonitoredQuery feeds:
-// the serial query hits a budget b iff matched >= b, and its complete
-// pool has exactly `matched` elements. Opens one "flat_scan" span on
-// the calling thread (helpers never touch stats or tracers) and charges
-// the issuance once, post-merge, so span self-costs telescope.
-template <typename Problem>
-size_t ShardedFetchInto(
-    const parallel::FlatMirror<typename Problem::Element>& flat,
-    const typename Problem::Predicate& q, double tau, size_t k,
-    parallel::Context* par, Scratch* scratch,
-    std::vector<typename Problem::Element>* out, QueryStats* stats,
-    trace::Tracer* tracer) {
-  trace::Span span(tracer, "flat_scan", stats);
-  const size_t matched = parallel::FlatScanTopKInto<Problem>(
-      flat, q, tau, k, par, scratch, out);
-  ChargeFlatScan(stats, flat.size(), matched);
-  span.Arg("matched", matched);
-  span.Arg("shards", par == nullptr ? 1 : par->shards());
-  return matched;
 }
 
 }  // namespace topk

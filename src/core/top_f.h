@@ -37,8 +37,6 @@
 #include "core/factory.h"
 #include "core/problem.h"
 #include "core/sink.h"
-#include "parallel/context.h"
-#include "parallel/flat_scan.h"
 #include "trace/tracer.h"
 
 namespace topk {
@@ -69,12 +67,7 @@ class TopFChain {
                             Problem::kLambda, scale_, rng,
                             max_core_set_attempts);
       }
-      // SoA mirror for the sharded degenerate-probe kernel; only levels
-      // big enough to ever shard carry one (see parallel/flat_scan.h).
-      std::optional<parallel::FlatMirror<Element>> mirror;
-      if (n_j >= parallel::kMinShardedN) mirror.emplace(current);
-      levels_.push_back(
-          Level{factory(std::move(current)), n_j, std::move(mirror)});
+      levels_.push_back(Level{factory(std::move(current)), n_j});
       if (bottom) break;
       // Guard against a non-shrinking chain (possible only with
       // aggressive constant_scale ablation): stop; queries that bottom
@@ -92,13 +85,6 @@ class TopFChain {
   // with the enclosing CoreSetTopK so the input is indexed once.
   const Pri& level0() const { return levels_.front().pri; }
 
-  // Level 0's flat mirror, shared with the enclosing CoreSetTopK for
-  // the same reason; null when the input is too small to ever shard.
-  const parallel::FlatMirror<Element>* level0_mirror() const {
-    const Level& l = levels_.front();
-    return l.mirror.has_value() ? &*l.mirror : nullptr;
-  }
-
   // Audit hook (src/audit/, -DTOPK_AUDIT=ON test sweeps): Lemma 2
   // nesting — every core-set level is a strictly smaller subset of its
   // parent, each level's structure indexes exactly the recorded count,
@@ -111,9 +97,6 @@ class TopFChain {
     for (size_t j = 0; j < levels_.size(); ++j) {
       TOPK_CHECK_EQ(levels_[j].pri.size(), levels_[j].n);
       if (j > 0) TOPK_CHECK_LT(levels_[j].n, levels_[j - 1].n);
-      if (levels_[j].mirror.has_value()) {
-        TOPK_CHECK_EQ(levels_[j].mirror->size(), levels_[j].n);
-      }
     }
     // Every level above the bottom must have been worth splitting.
     for (size_t j = 0; j + 1 < levels_.size(); ++j) {
@@ -128,9 +111,8 @@ class TopFChain {
   // a warm arena serves any chain depth with zero allocations.
   std::optional<ScratchVec<Element>> QueryTopF(
       const Predicate& q, Scratch* scratch, QueryStats* stats,
-      trace::Tracer* tracer = nullptr,
-      parallel::Context* par = nullptr) const {
-    return QueryLevel(0, q, scratch, stats, tracer, par);
+      trace::Tracer* tracer = nullptr) const {
+    return QueryLevel(0, q, scratch, stats, tracer);
   }
 
   // Compatibility form owning a throwaway Scratch (tests and one-off
@@ -149,33 +131,17 @@ class TopFChain {
   struct Level {
     Pri pri;
     size_t n;  // number of elements indexed at this level
-    // SoA copy for the sharded kernel; engaged iff n >= kMinShardedN.
-    std::optional<parallel::FlatMirror<Element>> mirror;
   };
 
   std::optional<ScratchVec<Element>> QueryLevel(
       size_t j, const Predicate& q, Scratch* scratch, QueryStats* stats,
-      trace::Tracer* tracer, parallel::Context* par) const {
+      trace::Tracer* tracer) const {
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
     const Level& level = levels_[j];
     trace::Span span(tracer, "topf_level", stats);
     span.Arg("level", j);
     span.Arg("n", level.n);
-    // When f is degenerate (4f + 1 > n_j: the probe budget is
-    // unreachable and the serial probe is a monitored full fetch), the
-    // level walk runs sharded over the level's flat mirror. The exact
-    // match count reproduces the serial protocol decisions 1:1.
-    if (level.mirror.has_value() &&
-        parallel::ShouldShard(par, level.n, 4 * f_ + 1)) {
-      {
-        ScratchVec<Element> top = scratch->Borrow<Element>();
-        const size_t matched =
-            ShardedFetchInto<Problem>(*level.mirror, q, kNegInf, f_, par,
-                                      scratch, &top.vec(), stats, tracer);
-        // matched <= 4f <=> the serial probe completes under budget.
-        if (matched <= 4 * f_) return top;
-      }  // oversized probe pool returns to the arena before recursing
-    } else {
+    {
       MonitoredPool<Element> r = MonitoredQuery(
           level.pri, q, kNegInf, 4 * f_ + 1, scratch, stats, tracer);
       if (!r.hit_budget) {
@@ -186,7 +152,7 @@ class TopFChain {
     if (j + 1 >= levels_.size()) return std::nullopt;  // truncated chain
 
     std::optional<ScratchVec<Element>> deeper =
-        QueryLevel(j + 1, q, scratch, stats, tracer, par);
+        QueryLevel(j + 1, q, scratch, stats, tracer);
     if (!deeper.has_value()) return std::nullopt;
     const size_t rank = CoreSetRank(level.n, Problem::kLambda, scale_);
     if (deeper->size() < rank) return std::nullopt;  // unlucky sample
@@ -195,16 +161,6 @@ class TopFChain {
 
     // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.; allow
     // 2x slack before declaring the sample bad.
-    if (level.mirror.has_value() &&
-        parallel::ShouldShard(par, level.n, 8 * f_ + 1)) {
-      ScratchVec<Element> top = scratch->Borrow<Element>();
-      const size_t matched = ShardedFetchInto<Problem>(
-          *level.mirror, q, tau, f_, par, scratch, &top.vec(), stats,
-          tracer);
-      if (matched > 8 * f_) return std::nullopt;  // rank too deep
-      if (matched < f_) return std::nullopt;      // rank too high
-      return top;
-    }
     MonitoredPool<Element> fetched = MonitoredQuery(
         level.pri, q, tau, 8 * f_ + 1, scratch, stats, tracer);
     if (fetched.hit_budget) return std::nullopt;          // rank too deep

@@ -52,7 +52,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,7 +59,6 @@
 #include "common/scratch.h"
 #include "common/stats.h"
 #include "core/budgeted_query.h"
-#include "parallel/context.h"
 #include "serve/epoch.h"
 #include "serve/histogram.h"
 #include "serve/metrics.h"
@@ -106,19 +104,6 @@ class QueryEngine {
     // the MetricsSnapshot slow-query log (bounded, top-by-latency; see
     // serve/metrics.h). 0 = off.
     uint64_t slow_query_ns = 0;
-    // Intra-query parallelism: each request worker owns a
-    // parallel::Context with this many shards, threaded into the
-    // structure's QueryInto so degenerate monitored fetches run the
-    // sharded flat kernel (see DESIGN.md "intra-query parallelism
-    // contract"). 0 or 1 = serial (no contexts built). Values > 1 are
-    // clamped so num_threads * intra_query_workers does not exceed the
-    // hardware concurrency (no oversubscription) unless
-    // unclamped_intra_query_workers is set.
-    size_t intra_query_workers = 1;
-    // Escape hatch for deterministic tests/benchmarks on small
-    // machines: take intra_query_workers literally, skipping the
-    // hardware clamp.
-    bool unclamped_intra_query_workers = false;
   };
 
   // `structure` must outlive the engine. `metrics` may be null (no
@@ -155,13 +140,6 @@ class QueryEngine {
   // Worker `t`'s scratch arena (diagnostics: tests pin that its pools
   // stop growing once warm). Read it only between batches.
   const Scratch& worker_scratch(size_t t) const { return *scratches_[t]; }
-
-  // Shards each request may split its dominant loop across (1 =
-  // serial); reflects the oversubscription clamp, so tests and
-  // benchmarks can report the effective value.
-  size_t intra_query_workers() const {
-    return contexts_.empty() ? 1 : contexts_.front()->shards();
-  }
 
   // Epoch mode only: the sequence number of the epoch that served the
   // most recent batch (0 before any batch, or in static mode). Lets a
@@ -267,8 +245,6 @@ class QueryEngine {
       pool_.RunOnAll([&](size_t worker) {
         MetricsSnapshot& tally = tallies_[worker];
         Scratch* scratch = scratches_[worker].get();
-        parallel::Context* par =
-            contexts_.empty() ? nullptr : contexts_[worker].get();
         // Each worker owns its tracer exclusively for the whole batch;
         // RunOnAll's barrier publishes the events to the coordinator.
         trace::Tracer* tracer =
@@ -302,8 +278,8 @@ class QueryEngine {
                     std::chrono::duration_cast<std::chrono::nanoseconds>(
                         start - batch_start)
                         .count()));
-            ServeOne(structure, requests[i], batch_start, scratch, par,
-                     &slot, &tally.stats, tracer);
+            ServeOne(structure, requests[i], batch_start, scratch, &slot,
+                     &tally.stats, tracer);
             tally.stats.results_returned += slot.elements.size();
             request_span.Arg("status",
                              static_cast<uint64_t>(slot.status));
@@ -352,15 +328,12 @@ class QueryEngine {
     }
     pool_.RunOnAll([&](size_t worker) {
       Scratch* scratch = scratches_[worker].get();
-      parallel::Context* par =
-          contexts_.empty() ? nullptr : contexts_[worker].get();
       Result slot;
       QueryStats stats;
       const auto start = Clock::now();
       for (const Request& r : requests) {
         slot.elements.clear();
-        ServeOne(structure, r, start, scratch, par, &slot, &stats,
-                 nullptr);
+        ServeOne(structure, r, start, scratch, &slot, &stats, nullptr);
       }
     });
   }
@@ -377,24 +350,6 @@ class QueryEngine {
     for (size_t t = 0; t < pool_.num_threads(); ++t) {
       scratches_.push_back(std::make_unique<Scratch>());
     }
-    // One intra-query Context per worker (so a worker's shard helpers
-    // are as private to it as its scratch arena). Clamped against the
-    // hardware so per-request workers times per-query shards never
-    // oversubscribe the machine.
-    size_t shards = options.intra_query_workers;
-    if (shards > 1 && !options.unclamped_intra_query_workers) {
-      const size_t hw = std::thread::hardware_concurrency();
-      if (hw > 0) {
-        const size_t per_worker = hw / pool_.num_threads();
-        if (shards > per_worker) shards = per_worker > 1 ? per_worker : 1;
-      }
-    }
-    if (shards > 1) {
-      contexts_.reserve(pool_.num_threads());
-      for (size_t t = 0; t < pool_.num_threads(); ++t) {
-        contexts_.push_back(std::make_unique<parallel::Context>(shards));
-      }
-    }
     if (options.trace_capacity > 0) {
       tracers_.reserve(pool_.num_threads() + 1);
       for (size_t t = 0; t < pool_.num_threads() + 1; ++t) {
@@ -406,8 +361,7 @@ class QueryEngine {
 
   void ServeOne(const Structure* structure, const Request& r,
                 Clock::time_point batch_start, Scratch* scratch,
-                parallel::Context* par, Result* slot, QueryStats* stats,
-                trace::Tracer* tracer) const {
+                Result* slot, QueryStats* stats, trace::Tracer* tracer) const {
     trace::Span span(tracer, "exec", stats);
     const bool has_deadline = r.deadline_ns > 0;
     const auto deadline =
@@ -418,8 +372,8 @@ class QueryEngine {
       return;
     }
     if (r.cost_budget == 0 && !has_deadline) {
-      StructureQueryInto(structure, r.predicate, r.k, scratch, par,
-                         &slot->elements, stats, tracer);
+      TopKQueryInto(*structure, r.predicate, r.k, scratch,
+                    &slot->elements, stats, tracer);
       slot->status = ResultStatus::kOk;
       return;
     }
@@ -450,46 +404,6 @@ class QueryEngine {
     slot->status = run.complete ? ResultStatus::kOk : stop_reason;
   }
 
-  // The ShareableTopKStructure concept only guarantees Query(q, k,
-  // stats); prefer the scratch-threaded QueryInto when the structure
-  // has one, passing the intra-query Context and the tracer through
-  // when they are accepted (the cost-budgeted path above never gets a
-  // Context: staged doubling re-issues budgeted — never degenerate —
-  // fetches, so there is nothing to shard).
-  void StructureQueryInto(const Structure* structure, const Predicate& q,
-                          size_t k, Scratch* scratch,
-                          parallel::Context* par,
-                          std::vector<Element>* out, QueryStats* stats,
-                          trace::Tracer* tracer) const {
-    if constexpr (requires {
-                    structure->QueryInto(q, k, scratch, out, stats,
-                                         tracer, par);
-                  }) {
-      structure->QueryInto(q, k, scratch, out, stats, tracer, par);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats, par);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats, par);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats, tracer);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats, tracer);
-    } else if constexpr (requires {
-                           structure->QueryInto(q, k, scratch, out,
-                                                stats);
-                         }) {
-      structure->QueryInto(q, k, scratch, out, stats);
-    } else if constexpr (requires {
-                           structure->Query(q, k, stats, tracer);
-                         }) {
-      *out = structure->Query(q, k, stats, tracer);
-    } else {
-      *out = structure->Query(q, k, stats);
-    }
-  }
-
   // Exactly one of structure_ (static mode, lifetime-pinned) and
   // epochs_ (epoch mode, pinned per batch) is non-null.
   const Structure* structure_ = nullptr;
@@ -513,11 +427,6 @@ class QueryEngine {
   // itself concurrent; see class comment).
   std::vector<MetricsSnapshot> tallies_;
   std::vector<std::unique_ptr<Scratch>> scratches_;
-  // Per-worker intra-query shard contexts (empty = serial). Worker t
-  // touches only contexts_[t], same ownership discipline as
-  // scratches_[t]. unique_ptr: Context is non-movable (it owns parked
-  // threads).
-  std::vector<std::unique_ptr<parallel::Context>> contexts_;
 };
 
 }  // namespace topk::serve

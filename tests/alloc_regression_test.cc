@@ -200,54 +200,6 @@ void ExpectZeroAllocSteadyStateThreaded(const Structure& s) {
   EXPECT_EQ(allocs, 0u) << "steady-state threaded batches allocated";
 }
 
-// Intra-query-parallel steady state: the sharded flat kernel borrows
-// every per-shard pool from the request worker's own Scratch, so once
-// Warmup() has primed the arenas (pools never shrink) a warm engine
-// with intra_query_workers > 1 also serves at exactly 0 allocs/request.
-// Needs n >= parallel::kMinShardedN so the mirrors engage, and deep ks
-// (k >= n/2 and k > |q(D)|) so the degenerate fetches actually shard;
-// one request worker keeps assignment deterministic while the shard
-// helpers run the measured window concurrently.
-template <typename Structure>
-void ExpectZeroAllocSteadyStateIntraParallel(const Structure& s,
-                                             size_t n) {
-  using Engine = serve::QueryEngine<Structure>;
-  typename Engine::Options options;
-  options.num_threads = 1;
-  options.intra_query_workers = 4;
-  options.unclamped_intra_query_workers = true;
-  Engine engine(&s, options);
-  ASSERT_EQ(engine.intra_query_workers(), 4u);
-
-  Rng rng(808);
-  std::vector<typename Engine::Request> requests;
-  for (size_t i = 0; i < 24; ++i) {
-    double lo = static_cast<double>(rng.Below(n / 4 + 1));
-    double hi = static_cast<double>(rng.Below(n / 4 + 1));
-    if (lo > hi) std::swap(lo, hi);
-    typename Engine::Request r;
-    r.predicate = Range1D{lo, hi};
-    // Every third request deep enough to shard the terminal fetch; the
-    // rest keep the small-k paths (and their serial pools) warm too.
-    r.k = (i % 3 == 0) ? n / 2 + 1 + i : 1 + i * 7 % 60;
-    requests.push_back(r);
-  }
-
-  engine.Warmup(requests);
-  std::vector<typename Engine::Result> results;
-  for (int warm = 0; warm < 3; ++warm) {
-    engine.QueryBatchInto(requests, &results);
-  }
-
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int it = 0; it < 5; ++it) {
-    engine.QueryBatchInto(requests, &results);
-  }
-  const uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(allocs, 0u) << "intra-query-parallel steady state allocated";
-}
-
 #ifdef TOPK_ALLOC_COUNTING_DISABLED
 #define TOPK_SKIP_UNDER_SANITIZERS() \
   GTEST_SKIP() << "allocation counting disabled under sanitizers"
@@ -358,32 +310,6 @@ TEST(AllocRegression, DeepKRadixSelectZeroAllocsNoArenaGrowth) {
   ExpectDeepKSteadyStateAllWorkerCounts<Thm2>();
   ExpectDeepKSteadyStateAllWorkerCounts<Baseline>();
   ExpectDeepKSteadyStateAllWorkerCounts<Counting>();
-}
-
-// Sharded-kernel data: big enough for every mirror to engage.
-std::vector<Point1D> ShardableData() {
-  Rng rng(4321);
-  return test::ClumpedPoints1D(5000, &rng);
-}
-
-TEST(AllocRegression, IntraQueryParallelZeroSteadyStateAllocs) {
-  TOPK_SKIP_UNDER_SANITIZERS();
-  {
-    Thm1 s(ShardableData());
-    ExpectZeroAllocSteadyStateIntraParallel(s, 5000);
-  }
-  {
-    Thm2 s(ShardableData());
-    ExpectZeroAllocSteadyStateIntraParallel(s, 5000);
-  }
-  {
-    Baseline s(ShardableData());
-    ExpectZeroAllocSteadyStateIntraParallel(s, 5000);
-  }
-  {
-    Counting s(ShardableData());
-    ExpectZeroAllocSteadyStateIntraParallel(s, 5000);
-  }
 }
 
 // Epoch-pinned query path (PR's serve-during-mutation mode): acquiring

@@ -6,6 +6,8 @@
 // correct output).
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +90,47 @@ TEST_P(SeedSweep, AllRange1DImplementationsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(ManySeeds, SeedSweep,
                          ::testing::Range<uint64_t>(1, 25));
+
+// Saturated ties (5 distinct weights) through all four reductions at
+// every k regime, including k past |q(D)| and past n: with weight
+// carrying almost no order, every threshold, pivot and selection
+// decision rests on the id tie-break. Under -DTOPK_AUDIT=ON the
+// substrates are contract-checked on every emission.
+template <typename S>
+void ExpectSaturatedTiesExact(const S& s, const std::vector<Point1D>& data,
+                              uint64_t seed) {
+  const size_t n = data.size();
+  Rng rng(seed);
+  const size_t ks[] = {1, 3, 16, 100, n / 3, n / 2 + 1, n + 7};
+  for (int trial = 0; trial < 8; ++trial) {
+    double lo = static_cast<double>(rng.Below(n / 4 + 1));
+    double hi = static_cast<double>(rng.Below(n / 4 + 1));
+    if (lo > hi) std::swap(lo, hi);
+    const Range1D q{lo, hi};
+    for (size_t k : ks) {
+      ASSERT_EQ(test::IdsOf(s.Query(q, k)),
+                test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)))
+          << "k=" << k << " q=[" << lo << "," << hi << "]";
+    }
+  }
+}
+
+TEST(SaturatedTiesSweep, AllReductionsMatchBruteForce) {
+  using Pri = test::MaybeAudited<range1d::PrioritySearchTree,
+                                 Range1DProblem>;
+  Rng rng(7005);
+  const std::vector<Point1D> data = test::SaturatedTies(8000, &rng);
+  ExpectSaturatedTiesExact(CoreSetTopK<Range1DProblem, Pri>(data), data, 5);
+  ExpectSaturatedTiesExact(
+      SampledTopK<Range1DProblem, Pri,
+                  test::MaybeAuditedMax<range1d::RangeMax, Range1DProblem>>(
+          data),
+      data, 6);
+  ExpectSaturatedTiesExact(BinarySearchTopK<Range1DProblem, Pri>(data), data,
+                           7);
+  ExpectSaturatedTiesExact(
+      CountingTopK<Range1DProblem, Pri, range1d::CountTree>(data), data, 8);
+}
 
 // The kd-tree interval substrate against the segment-tree one.
 class StabSeedSweep : public ::testing::TestWithParam<uint64_t> {};

@@ -61,6 +61,19 @@ inline std::vector<range1d::Point1D> ClumpedPoints1D(size_t n, Rng* rng) {
   return pts;
 }
 
+// Heavier ties still: 5 distinct weights over all n points, so every
+// top-k pool is wall-to-wall duplicates and only the (weight, id)
+// tie-break decides the answer. x clumps as in ClumpedPoints1D.
+inline std::vector<range1d::Point1D> SaturatedTies(size_t n, Rng* rng) {
+  std::vector<range1d::Point1D> pts(n);
+  for (size_t i = 0; i < n; ++i) {
+    pts[i].x = static_cast<double>(rng->Below(n / 4 + 1));
+    pts[i].weight = static_cast<double>(rng->Below(5));
+    pts[i].id = i + 1;
+  }
+  return pts;
+}
+
 // Brute-force top-k for any problem.
 template <typename Problem>
 std::vector<typename Problem::Element> BruteTopK(

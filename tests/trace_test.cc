@@ -16,8 +16,11 @@
 
 #include "common/random.h"
 #include "common/stats.h"
+#include "common/scratch.h"
 #include "core/core_set_topk.h"
+#include "core/counting_topk.h"
 #include "core/sampled_topk.h"
+#include "range1d/count_tree.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -228,6 +231,46 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem2) {
         EXPECT_LE(ArgOr0(e, "verdict"), 3u);
       }
     }
+    tracer.Clear();
+  }
+}
+
+TEST(Tracer, SelfCountsTelescopeOnCounting) {
+  Rng rng(11);
+  std::vector<Point1D> data = test::RandomPoints1D(4096, &rng);
+  CountingTopK<Range1DProblem, PrioritySearchTree, range1d::CountTree> topk(
+      data);
+  Tracer tracer(1 << 14);
+  Scratch scratch;
+  std::vector<Point1D> got;
+  Rng qrng(12);
+  for (int rep = 0; rep < 20; ++rep) {
+    const double a = qrng.NextDouble();
+    const double b = qrng.NextDouble();
+    const Range1D q{std::min(a, b), std::max(a, b)};
+    const size_t k = 1 + qrng.Below(200);
+    QueryStats stats;
+    topk.QueryInto(q, k, &scratch, &got, &stats, &tracer);
+    auto want = test::BruteTopK<Range1DProblem>(data, q, k);
+    EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
+    ASSERT_EQ(tracer.dropped(), 0u);
+    ASSERT_EQ(tracer.open_depth(), 0u);
+    // The counting probes charge only the root span; the final fetch
+    // is its monitored_query child.
+    EXPECT_GT(stats.max_queries, 0u);
+    ExpectStatsEqual(stats, SumSelfCounts(tracer));
+    const Tracer::Event& root = tracer.events().back();
+    EXPECT_STREQ(root.name, "counting_query");
+    EXPECT_EQ(ArgOr0(root, "k"), k);
+    size_t fetches = 0;
+    for (const Tracer::Event& e : tracer.events()) {
+      if (e.kind == Tracer::EventKind::kSpan &&
+          std::strcmp(e.name, "monitored_query") == 0) {
+        EXPECT_EQ(e.parent, root.id);
+        ++fetches;
+      }
+    }
+    EXPECT_EQ(fetches, 1u);
     tracer.Clear();
   }
 }

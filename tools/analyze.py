@@ -78,8 +78,7 @@ RULES = ("layering", "hotpath-alloc", "charge-site", "posture")
 MODULE_DEPS = {
     "common":    set(),
     "trace":     {"common"},
-    "parallel":  {"common"},
-    "core":      {"common", "trace", "parallel"},
+    "core":      {"common", "trace"},
     "audit":     {"common", "core"},
     "dominance": {"common", "core"},
     "range1d":   {"common", "core"},
@@ -90,8 +89,8 @@ MODULE_DEPS = {
     "enclosure": {"common", "core", "interval"},
     "em":        {"common", "core", "trace", "range1d"},
     "fault":     {"common", "em"},
-    "serve":     {"common", "core", "trace", "parallel"},
-    "federate":  {"common", "core", "parallel", "serve"},
+    "serve":     {"common", "core", "trace"},
+    "federate":  {"common", "core", "serve"},
 }
 
 # Charge-site: the only files allowed to mutate the issuance counters.

@@ -144,8 +144,7 @@ def main() -> int:
                 "bench_space", "bench_lemmas", "bench_em", "bench_rounds",
                 "bench_ablation", "bench_build", "bench_selectivity",
                 "bench_serve", "bench_chaos", "bench_trace", "bench_perf",
-                "bench_dynamic", "bench_persist", "bench_parallel",
-                "bench_federate",
+                "bench_dynamic", "bench_persist", "bench_federate",
             }
             print(f"\n## {section}")
             continue
