@@ -36,8 +36,9 @@
 // NaN weights are the one input where the radix key order and the
 // HeavierThan order can differ (the comparator is not a strict weak
 // order on NaN either, so no strategy is exact there). Under
-// -DTOPK_AUDIT, SelectTopK and SelectTopKInto abort on a NaN weight;
-// validating weights where data enters the library is ROADMAP item 4(a).
+// -DTOPK_AUDIT, SelectTopK, SelectTopKInto and NthHeaviestWeight abort
+// on a NaN weight; validating weights where data enters the library is
+// ROADMAP item 4(a).
 
 #ifndef TOPK_COMMON_KSELECT_H_
 #define TOPK_COMMON_KSELECT_H_
@@ -333,11 +334,29 @@ void SelectTopKInto(std::vector<E>* pool, size_t k, std::vector<E>* out) {
   out->assign(pool->begin(), pool->end());
 }
 
+// The weight of the rank-th heaviest element of `pool` (rank 1 is the
+// heaviest), 1 <= rank <= |pool|, in O(|pool|) expected time; `pool` is
+// left reordered. Theorem 1 reads its pivot this way: one rank of an
+// unsorted candidate pool, with no selection or sort of the rest.
+template <typename E>
+double NthHeaviestWeight(std::vector<E>* pool, size_t rank) {
+  TOPK_CHECK(rank >= 1 && rank <= pool->size());
+  kselect_internal::AuditNoNaN(*pool);
+  const auto nth = pool->begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(pool->begin(), nth, pool->end(), ByWeightDesc());
+  return nth->weight;
+}
+
 // In-place forms on a borrowed scratch pool (the zero-allocation query
 // path threads ScratchVec candidate pools through here).
 template <typename E>
 void SelectTopKUnordered(ScratchVec<E>* pool, size_t k) {
   SelectTopKUnordered(&pool->vec(), k);
+}
+
+template <typename E>
+double NthHeaviestWeight(ScratchVec<E>* pool, size_t rank) {
+  return NthHeaviestWeight(&pool->vec(), rank);
 }
 
 template <typename E>

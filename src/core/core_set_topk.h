@@ -9,18 +9,33 @@
 //
 // Composition (Section 3.2):
 //   * f = 12*lambda*B*Q_pri(n);
-//   * a TopFChain on D serves queries with k <= f;
+//   * a TopFChain on D serves queries with k <= f: its candidate pool
+//     (unsorted, heaviest-closed, see core/top_f.h) holds the top-min(f,
+//     |q(D)|), and one SelectTopKInto of exactly k writes the answer;
 //   * core-sets R[i] of D with K = 2^{i-1}*f (i = 1..h), each carrying
-//     its own TopFChain, serve queries with k > f: the pivot element of
-//     weight rank ceil(8*lambda*ln n) in q(R[i]) has weight rank [K, 4K]
-//     in q(D), so one prioritized fetch plus k-selection finishes;
+//     its own TopFChain, serve queries with k > f, pivot first: the
+//     element of weight rank ceil(8*lambda*ln n) in q(R[i]) has weight
+//     rank [K, 4K] in q(D), so one prioritized fetch of {w >= pivot}
+//     (budget 8K + 1) plus k-selection finishes; only when that route
+//     fails does a tau = -inf probe (budget 4K + 1) run, and a completed
+//     probe answers by k-selection;
 //   * queries with k >= n/2 scan.
+//
+// Pivot first changes no answer and no fallback: the query falls back
+// exactly when the pivot route fails AND the probe hits its budget, in
+// either order, and every route that answers selects the k heaviest of
+// a heaviest-closed pool holding >= min(k, |q(D)|) elements. A failed
+// pivot route costs at most one extra fetch of O(Q_pri + K/B) before the
+// probe, so the O(Q_pri * log n + k/B) bound stands; a wide predicate
+// (|q(D)| > 4K) no longer pays for a probe it throws away.
 //
 // Correctness is unconditional: every sampled shortcut verifies its
 // output cardinality and falls back to the binary-search reduction
 // (O((Q_pri + k/B) log n), always correct) on failure. Failures are
 // counted in QueryStats::fallbacks and occur with probability O(n^-1)
-// per query with the paper constants.
+// per query with the paper constants. The thm1_query span's
+// `answered_by` argument (kAnsweredBy* below) names the route that
+// produced each answer.
 
 #ifndef TOPK_CORE_CORE_SET_TOPK_H_
 #define TOPK_CORE_CORE_SET_TOPK_H_
@@ -28,6 +43,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -137,6 +153,13 @@ class CoreSetTopK {
     return result;
   }
 
+  // Values of the thm1_query span's `answered_by` argument.
+  static constexpr uint64_t kAnsweredByChain = 0;     // top-f chain, k <= f
+  static constexpr uint64_t kAnsweredByLadder = 1;    // pivot fetch, k > f
+  static constexpr uint64_t kAnsweredByProbe = 2;     // tau = -inf probe
+  static constexpr uint64_t kAnsweredByFullScan = 3;  // k >= n/2
+  static constexpr uint64_t kAnsweredByFallback = 4;  // binary search
+
   // Scratch-threaded form writing into *out (cleared first): every
   // candidate pool across the small-k chain, the large-k ladder, the
   // full scan, and the binary-search fallback lives in a buffer
@@ -153,20 +176,21 @@ class CoreSetTopK {
     span.Arg("k", k);
 
     if (k <= f_) {
-      std::optional<ScratchVec<Element>> top =
-          chain_->QueryTopF(q, scratch, stats, tracer);
-      if (top.has_value()) {
-        const size_t take = std::min(k, top->size());  // already sorted desc
-        out->assign(top->begin(), top->begin() + take);
+      std::optional<ScratchVec<Element>> pool =
+          chain_->QueryPool(q, scratch, stats, tracer);
+      if (pool.has_value()) {
+        span.Arg("answered_by", kAnsweredByChain);
+        SelectTopKInto(&*pool, k, out);
         return;
       }
+      span.Arg("answered_by", kAnsweredByFallback);
       FallbackInto(q, k, scratch, out, stats, tracer);
       return;
     }
 
     if (k >= n_ / 2) {
       // Read everything: O(n/B) = O(k/B).
-      span.Arg("full_scan", 1);
+      span.Arg("answered_by", kAnsweredByFullScan);
       if (stats != nullptr) ++stats->full_scans;
       MonitoredPool<Element> all =
           MonitoredQuery(pri, q, kNegInf, n_ + 1, scratch, stats, tracer);
@@ -176,7 +200,7 @@ class CoreSetTopK {
 
     // Smallest i with K = 2^{i-1} f >= k; k < n/2 guarantees K <= n, so
     // the core-set exists unless the constant-scale ablation truncated
-    // the list — then fall back.
+    // the list — then only the probe can answer.
     size_t i = 0;
     double K = static_cast<double>(f_);
     while (K < static_cast<double>(k)) {
@@ -184,43 +208,39 @@ class CoreSetTopK {
       ++i;
     }
     // Which rung of the large-k ladder (core-set R_i, K = 2^{i-1} f)
-    // this query probed — the per-query attribution E23 cares about.
+    // this query used — the per-query attribution E23 cares about.
     span.Arg("core_set_level", i);
-    const size_t budget = static_cast<size_t>(4.0 * K) + 1;
+    if (i <= large_k_chains_.size()) {  // k > f, so i >= 1
+      std::optional<ScratchVec<Element>> top =
+          large_k_chains_[i - 1].QueryPool(q, scratch, stats, tracer);
+      const size_t rank = CoreSetRank(n_, Problem::kLambda,
+                                      options_.constant_scale);
+      if (top.has_value() && top->size() >= rank) {
+        const double tau = NthHeaviestWeight(&*top, rank);
+        top.reset();  // only tau survives; recycle the pool for the fetch
+        // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
+        const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
+        MonitoredPool<Element> fetched = MonitoredQuery(
+            pri, q, tau, fetch_budget, scratch, stats, tracer);
+        if (!fetched.hit_budget && fetched.elements.size() >= k) {
+          span.Arg("answered_by", kAnsweredByLadder);
+          SelectTopKInto(&fetched.elements, k, out);
+          return;
+        }
+      }
+    }  // a failed route's pools return to the arena before the probe
     {
+      const size_t budget = static_cast<size_t>(4.0 * K) + 1;
       MonitoredPool<Element> probe =
           MonitoredQuery(pri, q, kNegInf, budget, scratch, stats, tracer);
       if (!probe.hit_budget) {
+        span.Arg("answered_by", kAnsweredByProbe);
         SelectTopKInto(&probe.elements, k, out);
         return;
       }
-    }  // budget-hit probe pool returns to the arena before the ladder
-    if (i == 0 || i > large_k_chains_.size()) {
-      FallbackInto(q, k, scratch, out, stats, tracer);
-      return;
     }
-
-    std::optional<ScratchVec<Element>> top =
-        large_k_chains_[i - 1].QueryTopF(q, scratch, stats, tracer);
-    const size_t rank = CoreSetRank(n_, Problem::kLambda,
-                                    options_.constant_scale);
-    if (!top.has_value() || top->size() < rank) {
-      top.reset();
-      FallbackInto(q, k, scratch, out, stats, tracer);
-      return;
-    }
-    const double tau = (*top)[rank - 1].weight;
-    top.reset();  // only tau survives; recycle the pool for the fetch
-
-    // Pivot rank is in [K, 4K] w.h.p.; allow 2x slack.
-    const size_t fetch_budget = static_cast<size_t>(8.0 * K) + 1;
-    MonitoredPool<Element> fetched = MonitoredQuery(
-        pri, q, tau, fetch_budget, scratch, stats, tracer);
-    if (fetched.hit_budget || fetched.elements.size() < k) {
-      FallbackInto(q, k, scratch, out, stats, tracer);
-      return;
-    }
-    SelectTopKInto(&fetched.elements, k, out);
+    span.Arg("answered_by", kAnsweredByFallback);
+    FallbackInto(q, k, scratch, out, stats, tracer);
   }
 
  private:

@@ -6,18 +6,36 @@
 // stops at the first level of size <= 4f (or as soon as deeper core-sets
 // stop shrinking, which cannot happen with the paper's constants).
 //
-// A top-f query at level j:
-//   * runs a cost-monitored prioritized query with tau = -inf and budget
-//     4f + 1; if it completes, k-selection finishes the job;
-//   * otherwise (|q(R_j)| > 4f) recursively obtains the top-f of
-//     q(R_{j+1}), reads the element e of weight rank ceil(8*lambda*ln n_j)
-//     in it — by Lemma 2, e has weight rank in [f, 4f] within q(R_j) —
-//     and fetches {w >= w(e)} from level j's prioritized structure.
+// A query at level j runs pivot first:
+//   * if level j has a deeper level, recurse into it; when that yields
+//     >= rank = ceil(8*lambda*ln n_j) candidates, its rank-th heaviest
+//     element e has weight rank in [f, 4f] within q(R_j) (Lemma 2), so
+//     fetch {w >= w(e)} from level j's prioritized structure with budget
+//     8f + 1 (twice Lemma 2's bound, slack before declaring the sample
+//     bad); a completed fetch holding >= f elements answers the level;
+//   * otherwise run a cost-monitored tau = -inf probe with budget
+//     4f + 1: a completed probe is all of q(R_j) and answers the level;
+//     a probe that hits its budget surfaces as nullopt, and the caller
+//     (CoreSetTopK) falls back to the binary-search reduction.
 //
-// Unlucky-sample handling: the fetched set is verified to contain at
-// least f elements and at most 8f (twice Lemma 2's bound, leaving slack
-// before declaring the sample bad); a violation surfaces as nullopt and
-// the caller (CoreSetTopK) falls back to the binary-search reduction.
+// Pool contract: a level answers with an UNSORTED candidate pool that
+// is heaviest-closed — it holds every element of q(R_j) heavier than
+// any of its members — so it contains the top-min(f, |q(R_j)|) of
+// q(R_j). The caller selects what it needs: one rank for a pivot
+// (NthHeaviestWeight, O(|pool|)) or the k heaviest for an answer. No
+// level sorts.
+//
+// Same answers, same failures as probing first: a level fails exactly
+// when the pivot route fails AND the probe hits its budget, whichever
+// runs first, and both routes yield a heaviest-closed pool with the
+// same top-min(f, |q(R_j)|); by induction over the levels, so does the
+// whole chain. Cost: each level issues at most two monitored queries
+// (the fetch, then the probe only when the fetch failed), each
+// O(Q_pri + f/B), as probing first does in the worst case — the
+// O(Q_pri * log n + k/B) bound of Theorem 1 is unchanged. A wide
+// predicate (|q(R_j)| > 4f) costs one fetch per level and no discarded
+// probe; a narrow one still issues one query per level, where a level-0
+// probe alone would have answered (EXPERIMENTS.md E30 measures both).
 
 #ifndef TOPK_CORE_TOP_F_H_
 #define TOPK_CORE_TOP_F_H_
@@ -104,27 +122,16 @@ class TopFChain {
     }
   }
 
-  // Top-min(f, |q(S)|) elements of q(S), heaviest first, in a pool
-  // borrowed from `scratch`; nullopt when an unlucky core-set defeated
-  // the algorithm (caller must fall back). The whole recursion works
-  // out of the arena: the steady state borrows one buffer at a time, so
-  // a warm arena serves any chain depth with zero allocations.
-  std::optional<ScratchVec<Element>> QueryTopF(
+  // A heaviest-closed candidate pool of q(S), unsorted, holding the
+  // top-min(f, |q(S)|) of q(S) (see the pool contract above), borrowed
+  // from `scratch`; nullopt when an unlucky core-set defeated the
+  // algorithm (caller must fall back). The whole recursion works out of
+  // the arena: the steady state borrows one buffer at a time, so a warm
+  // arena serves any chain depth with zero allocations.
+  std::optional<ScratchVec<Element>> QueryPool(
       const Predicate& q, Scratch* scratch, QueryStats* stats,
       trace::Tracer* tracer = nullptr) const {
     return QueryLevel(0, q, scratch, stats, tracer);
-  }
-
-  // Compatibility form owning a throwaway Scratch (tests and one-off
-  // callers; may allocate).
-  std::optional<std::vector<Element>> QueryTopF(
-      const Predicate& q, QueryStats* stats,
-      trace::Tracer* tracer = nullptr) const {
-    Scratch scratch;
-    std::optional<ScratchVec<Element>> top =
-        QueryTopF(q, &scratch, stats, tracer);
-    if (!top.has_value()) return std::nullopt;
-    return std::vector<Element>(top->begin(), top->end());
   }
 
  private:
@@ -141,32 +148,26 @@ class TopFChain {
     trace::Span span(tracer, "topf_level", stats);
     span.Arg("level", j);
     span.Arg("n", level.n);
-    {
-      MonitoredPool<Element> r = MonitoredQuery(
-          level.pri, q, kNegInf, 4 * f_ + 1, scratch, stats, tracer);
-      if (!r.hit_budget) {
-        SelectTopK(&r.elements, f_);
-        return std::move(r.elements);
+    if (j + 1 < levels_.size()) {
+      std::optional<ScratchVec<Element>> deeper =
+          QueryLevel(j + 1, q, scratch, stats, tracer);
+      const size_t rank = CoreSetRank(level.n, Problem::kLambda, scale_);
+      if (deeper.has_value() && deeper->size() >= rank) {
+        const double tau = NthHeaviestWeight(&*deeper, rank);
+        deeper.reset();  // only tau survives; recycle the pool for the fetch
+        // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.;
+        // allow 2x slack before declaring the sample bad.
+        MonitoredPool<Element> fetched = MonitoredQuery(
+            level.pri, q, tau, 8 * f_ + 1, scratch, stats, tracer);
+        if (!fetched.hit_budget && fetched.elements.size() >= f_) {
+          return std::move(fetched.elements);
+        }
       }
-    }  // budget-hit probe pool returns to the arena before recursing
-    if (j + 1 >= levels_.size()) return std::nullopt;  // truncated chain
-
-    std::optional<ScratchVec<Element>> deeper =
-        QueryLevel(j + 1, q, scratch, stats, tracer);
-    if (!deeper.has_value()) return std::nullopt;
-    const size_t rank = CoreSetRank(level.n, Problem::kLambda, scale_);
-    if (deeper->size() < rank) return std::nullopt;  // unlucky sample
-    const double tau = (*deeper)[rank - 1].weight;
-    deeper.reset();  // only tau survives; recycle the pool for the fetch
-
-    // Lemma 2: e has weight rank in [f, 4f] within q(R_j) w.h.p.; allow
-    // 2x slack before declaring the sample bad.
-    MonitoredPool<Element> fetched = MonitoredQuery(
-        level.pri, q, tau, 8 * f_ + 1, scratch, stats, tracer);
-    if (fetched.hit_budget) return std::nullopt;          // rank too deep
-    if (fetched.elements.size() < f_) return std::nullopt;  // rank too high
-    SelectTopK(&fetched.elements, f_);
-    return std::move(fetched.elements);
+    }  // a failed route's pools return to the arena before the probe
+    MonitoredPool<Element> probe = MonitoredQuery(
+        level.pri, q, kNegInf, 4 * f_ + 1, scratch, stats, tracer);
+    if (probe.hit_budget) return std::nullopt;
+    return std::move(probe.elements);
   }
 
   size_t f_;

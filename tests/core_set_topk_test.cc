@@ -149,9 +149,39 @@ TEST(CoreSetTopK, UnluckySamplesFallBackAndStayExact) {
     auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
     ASSERT_EQ(test::IdsOf(got), test::IdsOf(want));
   }
-  // Not asserted as > 0 strictly by theory, but with scale 0.01 the
-  // chain is essentially guaranteed to be defeated somewhere.
-  EXPECT_GT(stats.fallbacks + stats.full_scans, 0u);
+  // Pinned exactly on these seeds: the order in which Theorem 1 tries
+  // its routes must not change which queries fall back (5 of the 60,
+  // none of them scans).
+  EXPECT_EQ(stats.fallbacks, 5u);
+  EXPECT_EQ(stats.full_scans, 0u);
+}
+
+// A wide predicate (|q(D)| > 4f) with k <= f: pivot first issues one
+// monitored query per chain level — the bottom probe and one
+// {w >= tau} fetch above it — and never a tau = -inf probe that hits
+// its budget and is thrown away.
+TEST(CoreSetTopK, WidePredicateSkipsTheDiscardedProbe) {
+  Rng rng(321);
+  const size_t n = size_t{1} << 17;
+  std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  TopK topk(data);
+  const size_t f = topk.f();
+  ASSERT_GE(topk.num_chain_levels(), 2u);
+  for (const Range1D q : {Range1D{0.0, 1.0}, Range1D{0.1, 0.9},
+                          Range1D{0.2, 0.85}}) {
+    ASSERT_GT(test::BruteTopK<Range1DProblem>(data, q, n).size(), 4 * f);
+    for (const size_t k : {size_t{1}, size_t{100}, f}) {
+      QueryStats stats;
+      auto got = topk.Query(q, k, &stats);
+      ASSERT_EQ(test::IdsOf(got),
+                test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)));
+      EXPECT_EQ(stats.fallbacks, 0u);
+      EXPECT_EQ(stats.prioritized_queries, topk.num_chain_levels())
+          << "k=" << k;
+      EXPECT_LT(stats.elements_emitted, (4 * f + 1) + (8 * f + 1))
+          << "k=" << k;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "common/kselect.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -241,6 +242,57 @@ TEST(KSelectRadix, SignedZerosOrderByIdAndKeepTheirBits) {
   }
 }
 
+// The pivot helper returns the weight of the rank-th element of the
+// (weight, id) order, sign bit included, and leaves the pool a
+// permutation of itself.
+void ExpectNthHeaviest(const std::vector<Point1D>& data, size_t rank) {
+  const std::vector<Point1D> sorted = Reference(data, data.size());
+  std::vector<Point1D> pool = data;
+  const double w = NthHeaviestWeight(&pool, rank);
+  EXPECT_EQ(std::bit_cast<uint64_t>(w),
+            std::bit_cast<uint64_t>(sorted[rank - 1].weight))
+      << "rank=" << rank << " |pool|=" << data.size();
+  std::vector<uint64_t> got = test::IdsOf(pool), want = test::IdsOf(data);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+}
+
+TEST(NthHeaviestWeight, FirstAndLastRank) {
+  Rng rng(31);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{5000}}) {
+    const std::vector<Point1D> data = RadixPool(n, Weights::kUniform, &rng);
+    ExpectNthHeaviest(data, 1);
+    ExpectNthHeaviest(data, n);
+    ExpectNthHeaviest(data, (n + 1) / 2);
+  }
+}
+
+TEST(NthHeaviestWeight, TieRunStraddlingTheRank) {
+  // Ranks 1000..2999 share weight 2.0; the answer is the tie weight at
+  // every rank inside the run and the neighbours' weights just outside.
+  const size_t n = 5000;
+  std::vector<Point1D> data(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double w = i < 1000 ? 3.0 : (i < 3000 ? 2.0 : 1.0);
+    data[i] = Point1D{0, w, (i * 7919) % n};
+  }
+  for (const size_t rank : {size_t{1000}, size_t{1001}, size_t{2000},
+                            size_t{3000}, size_t{3001}}) {
+    ExpectNthHeaviest(data, rank);
+  }
+}
+
+TEST(NthHeaviestWeight, MixedSignedZerosKeepTheRankedElementsSign) {
+  Rng rng(32);
+  const std::vector<Point1D> data =
+      RadixPool(3000, Weights::kSignedZeros, &rng);
+  for (const size_t rank : {size_t{1}, size_t{500}, size_t{1499},
+                            size_t{1500}, size_t{2999}, size_t{3000}}) {
+    ExpectNthHeaviest(data, rank);
+  }
+}
+
 #ifdef TOPK_AUDIT
 // NaN is the one weight on which the radix key and the comparator can
 // disagree; the audit tree rejects it at selection time.
@@ -259,6 +311,20 @@ TEST(KSelectDeathTest, NaNWeightAbortsUnderAudit) {
         std::vector<Point1D> pool = data;
         std::vector<Point1D> out;
         SelectTopKInto(&pool, 3000, &out);
+      },
+      "isnan");
+}
+
+// Theorem 1 reads its pivot through NthHeaviestWeight, so the same
+// audit covers the pivot path.
+TEST(KSelectDeathTest, NaNWeightAbortsPivotUnderAudit) {
+  Rng rng(6);
+  std::vector<Point1D> data = test::RandomPoints1D(500, &rng);
+  data[77].weight = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(
+      {
+        std::vector<Point1D> pool = data;
+        NthHeaviestWeight(&pool, 40);
       },
       "isnan");
 }

@@ -197,11 +197,64 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem1) {
     ASSERT_EQ(tracer.dropped(), 0u);
     ASSERT_EQ(tracer.open_depth(), 0u);
     ExpectStatsEqual(stats, SumSelfCounts(tracer));
-    // The root span records which regime served the query.
+    // The root span records which route answered the query.
     const Tracer::Event& root = tracer.events().back();
     EXPECT_STREQ(root.name, "thm1_query");
     EXPECT_EQ(ArgOr0(root, "k"), k);
+    EXPECT_TRUE(HasArg(root, "answered_by"));
+    EXPECT_LE(ArgOr0(root, "answered_by"), 4u);
     tracer.Clear();
+  }
+}
+
+// The explain record: one `answered_by` per query, naming each of the
+// five routes on queries built to take it, and the fallback value
+// exactly when QueryStats counts a fallback.
+TEST(Tracer, Theorem1AnsweredByNamesTheRoute) {
+  using TopK = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
+  Rng rng(12);
+  const size_t n = 30000;
+  std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  uint64_t seen[5] = {};
+  // Small constants: f = 190, a deep large-k ladder and a few unlucky
+  // core-sets, so every route shows up among these queries.
+  for (const double scale : {0.05, 0.01}) {
+    ReductionOptions opts;
+    opts.constant_scale = scale;
+    opts.seed = 99;
+    TopK topk(data, opts);
+    Tracer tracer(1 << 12);
+    Rng qrng(13);
+    for (int rep = 0; rep < 60; ++rep) {
+      double a = qrng.NextDouble(), b = qrng.NextDouble();
+      if (a > b) std::swap(a, b);
+      if (rep % 3 == 0) b = a + 0.01;  // narrow: |q(D)| ~ 300
+      const size_t k = rep % 5 == 0   ? n / 2
+                       : rep % 2 == 0 ? 1 + qrng.Below(topk.f())
+                                      : topk.f() + 1 + qrng.Below(2000);
+      QueryStats stats;
+      auto got = topk.Query({a, b}, k, &stats, &tracer);
+      ASSERT_EQ(test::IdsOf(got),
+                test::IdsOf(test::BruteTopK<Range1DProblem>(data, {a, b}, k)));
+      ASSERT_EQ(tracer.dropped(), 0u);
+      ExpectStatsEqual(stats, SumSelfCounts(tracer));
+      const Tracer::Event& root = tracer.events().back();
+      ASSERT_STREQ(root.name, "thm1_query");
+      ASSERT_TRUE(HasArg(root, "answered_by"));
+      const uint64_t by = ArgOr0(root, "answered_by");
+      ASSERT_LE(by, 4u);
+      ++seen[by];
+      EXPECT_EQ(by == TopK::kAnsweredByFallback, stats.fallbacks == 1);
+      EXPECT_EQ(by == TopK::kAnsweredByFullScan, stats.full_scans == 1);
+      if (k <= topk.f()) {
+        EXPECT_TRUE(by == TopK::kAnsweredByChain ||
+                    by == TopK::kAnsweredByFallback);
+      }
+      tracer.Clear();
+    }
+  }
+  for (uint64_t by = 0; by < 5; ++by) {
+    EXPECT_GT(seen[by], 0u) << "answered_by=" << by;
   }
 }
 
