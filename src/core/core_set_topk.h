@@ -18,7 +18,9 @@
 //     rank [K, 4K] in q(D), so one prioritized fetch of {w >= pivot}
 //     (budget 8K + 1) plus k-selection finishes; only when that route
 //     fails does a tau = -inf probe (budget 4K + 1) run, and a completed
-//     probe answers by k-selection;
+//     probe answers by k-selection; a rung with |R[i]| below the pivot
+//     rank (the top rung at n = 2^17) cannot yield a pivot and goes
+//     straight to the probe;
 //   * queries with k >= n/2 scan.
 //
 // Pivot first changes no answer and no fallback: the query falls back
@@ -210,11 +212,15 @@ class CoreSetTopK {
     // Which rung of the large-k ladder (core-set R_i, K = 2^{i-1} f)
     // this query used — the per-query attribution E23 cares about.
     span.Arg("core_set_level", i);
-    if (i <= large_k_chains_.size()) {  // k > f, so i >= 1
+    const size_t rank =
+        CoreSetRank(n_, Problem::kLambda, options_.constant_scale);
+    // A rung whose core-set holds fewer elements than the pivot rank can
+    // never expose a pivot (its pool is a subset of q(R_i)), so such a
+    // query skips the route and goes straight to the probe.
+    if (i <= large_k_chains_.size() &&  // k > f, so i >= 1
+        large_k_chains_[i - 1].level0().size() >= rank) {
       std::optional<ScratchVec<Element>> top =
           large_k_chains_[i - 1].QueryPool(q, scratch, stats, tracer);
-      const size_t rank = CoreSetRank(n_, Problem::kLambda,
-                                      options_.constant_scale);
       if (top.has_value() && top->size() >= rank) {
         const double tau = NthHeaviestWeight(&*top, rank);
         top.reset();  // only tau survives; recycle the pool for the fetch

@@ -3,7 +3,8 @@
 //
 // A Coordinator fronts S serve::QueryEngines, one per hash shard of the
 // dataset (federate/shard_map.h). A query fans out to every healthy
-// shard in parallel (one parked worker per shard) and the per-shard
+// shard in parallel (one fan-out worker per shard: the calling thread
+// drives shard 0, a parked thread each other shard) and the per-shard
 // answers are merged under the library-wide (weight, id) strict total
 // order, so the federated answer is bitwise-identical to a single
 // engine over the union — never merely "close".
@@ -56,7 +57,8 @@
 // Thread-safety: a Coordinator is externally synchronized — one query
 // at a time, like QueryEngine::QueryBatchInto. The shard engines and
 // epoch managers must outlive it; each engine is driven only by its
-// dedicated fan-out worker.
+// own fan-out worker (shard 0's by the thread calling QueryInto), so it
+// sees one caller at a time.
 
 #ifndef TOPK_FEDERATE_COORDINATOR_H_
 #define TOPK_FEDERATE_COORDINATOR_H_
@@ -534,7 +536,8 @@ class Coordinator {
 
   std::vector<Shard> shards_;
   Options options_;
-  // One parked worker per shard; RunOnAll is the scatter barrier.
+  // One worker per shard, the calling thread as shard 0's; RunOnAll is
+  // the scatter barrier.
   serve::ThreadPool fanout_;
   Scratch scratch_;
   // Per-shard 1-request batches and recycled result slots; worker w

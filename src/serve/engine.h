@@ -1,13 +1,16 @@
 // Concurrent batched top-k query engine with graceful degradation.
 //
 // A QueryEngine wraps one shared, already-built, const top-k structure
-// and answers batches of (predicate, k) requests on a fixed thread
-// pool. Workers self-schedule requests off an atomic cursor (no
-// per-task queue, so heterogeneous query costs balance automatically),
-// write results into disjoint slots of the output vector, and charge
-// all accounting to thread-local tallies; the only synchronization on
-// the query path is the cursor's fetch_add. After the batch barrier the
-// tallies are merged into an optional serve::Metrics registry.
+// and answers batches of (predicate, k) requests on a fixed,
+// caller-participating thread pool (serve/thread_pool.h): the thread
+// that calls QueryBatchInto is worker 0, so a one-worker engine answers
+// inline with no thread hand-off. Workers self-schedule requests off an
+// atomic cursor (no per-task queue, so heterogeneous query costs
+// balance automatically), write results into disjoint slots of the
+// output vector, and charge all accounting to per-worker tallies; the
+// only synchronization on the query path is the cursor's fetch_add.
+// After the batch barrier the tallies are merged into an optional
+// serve::Metrics registry.
 //
 // Two sources for the served structure (see the two constructors):
 //   * static mode — a caller-owned const structure, pinned for the
@@ -92,11 +95,13 @@ class QueryEngine {
   using Result = QueryResult<Element>;
 
   struct Options {
+    // Workers per batch, counting the calling thread (worker 0): the
+    // engine parks num_threads - 1 threads, and 1 serves inline.
     size_t num_threads = 1;
     // Admission control: at most this many requests of a batch are
     // served; the rest are shed. 0 = unbounded.
     size_t max_batch = 0;
-    // Tracing: event capacity of each per-thread trace::Tracer (one per
+    // Tracing: event capacity of each per-worker trace::Tracer (one per
     // worker plus one for the coordinator). 0 = tracing off — every
     // call site passes a null tracer, the one-branch disabled path.
     size_t trace_capacity = 0;

@@ -1,6 +1,6 @@
 // The serving layer's observability registry.
 //
-// Workers accumulate thread-local tallies (QueryStats + latency
+// Workers accumulate per-worker tallies (QueryStats + latency
 // histogram + query counts); after each batch barrier the engine folds
 // them into a Metrics registry under a mutex — the hot path never
 // synchronizes. ToJson() renders one self-describing JSON object whose

@@ -5,6 +5,8 @@
 #include "core/core_set_topk.h"
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "test_util.h"
+#include "trace/tracer.h"
 
 namespace topk {
 namespace {
@@ -180,6 +183,47 @@ TEST(CoreSetTopK, WidePredicateSkipsTheDiscardedProbe) {
           << "k=" << k;
       EXPECT_LT(stats.elements_emitted, (4 * f + 1) + (8 * f + 1))
           << "k=" << k;
+    }
+  }
+}
+
+// At n = 2^17 the top rung of the large-k ladder (K = 16f) is a core-set
+// of about 177 elements in expectation, below the pivot rank
+// ceil(8 lambda ln n) = 189; with sampling seed 3 it draws 160. Its
+// chain can never expose a pivot, so a query with 8f < k < n/2 skips
+// that route and the tau = -inf probe (budget 4K + 1 > n, never hit)
+// answers with one prioritized query.
+TEST(CoreSetTopK, RungBelowPivotRankGoesStraightToTheProbe) {
+  Rng rng(17);
+  const size_t n = size_t{1} << 17;
+  std::vector<Point1D> data = test::RandomPoints1D(n, &rng);
+  ReductionOptions opts;
+  opts.seed = 3;
+  TopK topk(data, opts);
+  const size_t f = topk.f();
+  ASSERT_EQ(8 * f, 34816u);
+  ASSERT_EQ(topk.num_large_k_core_sets(), 4u);
+  trace::Tracer tracer(1 << 10);
+  for (const Range1D q : {Range1D{0.0, 1.0}, Range1D{0.1, 0.9},
+                          Range1D{0.15, 0.85}}) {
+    for (const size_t k : {8 * f + 1, size_t{50000}, n / 2 - 1}) {
+      QueryStats stats;
+      auto got = topk.Query(q, k, &stats, &tracer);
+      ASSERT_EQ(test::IdsOf(got),
+                test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)));
+      EXPECT_EQ(stats.fallbacks, 0u);
+      EXPECT_EQ(stats.full_scans, 0u);
+      EXPECT_EQ(stats.prioritized_queries, 1u) << "k=" << k;
+      const trace::Tracer::Event& root = tracer.events().back();
+      ASSERT_STREQ(root.name, "thm1_query");
+      uint64_t answered_by = 99;
+      for (size_t a = 0; a < root.num_args; ++a) {
+        if (std::strcmp(root.arg_names[a], "answered_by") == 0) {
+          answered_by = root.arg_values[a];
+        }
+      }
+      EXPECT_EQ(answered_by, TopK::kAnsweredByProbe) << "k=" << k;
+      tracer.Clear();
     }
   }
 }

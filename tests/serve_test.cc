@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +230,56 @@ TEST(ThreadPool, RunsEveryWorkerEachRegion) {
   for (int round = 1; round <= 3; ++round) {
     pool.RunOnAll([&hits](size_t w) { ++hits[w]; });
     for (int h : hits) EXPECT_EQ(h, round);
+  }
+}
+
+// The calling thread is worker 0; every other worker is its own parked
+// thread.
+TEST(ThreadPool, CallerRunsWorkerZero) {
+  serve::ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::vector<std::thread::id> ran_on(3);
+  pool.RunOnAll(
+      [&ran_on](size_t w) { ran_on[w] = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], ran_on[0]);
+  EXPECT_NE(ran_on[2], ran_on[0]);
+  EXPECT_NE(ran_on[1], ran_on[2]);
+}
+
+// A pool of 1 spawns no thread: the region is a plain call that has
+// finished when RunOnAll returns.
+TEST(ThreadPool, OneWorkerPoolRunsInline) {
+  serve::ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  for (int round = 1; round <= 3; ++round) {
+    std::thread::id ran_on;
+    size_t worker = 99;
+    bool finished = false;
+    pool.RunOnAll([&](size_t w) {
+      ran_on = std::this_thread::get_id();
+      worker = w;
+      finished = true;
+    });
+    EXPECT_TRUE(finished);
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
+}
+
+// The single-owner check fires for every pool size, the thread-free
+// pool of 1 included: a region may not open another on the same pool.
+TEST(ThreadPoolDeathTest, ReentrantRunOnAllAborts) {
+  for (const size_t n : {size_t{1}, size_t{3}}) {
+    EXPECT_DEATH(
+        {
+          serve::ThreadPool pool(n);
+          pool.RunOnAll([&pool](size_t w) {
+            if (w == 0) pool.RunOnAll([](size_t) {});
+          });
+        },
+        "TOPK_CHECK")
+        << "pool size " << n;
   }
 }
 
