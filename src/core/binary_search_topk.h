@@ -82,21 +82,6 @@ void BinarySearchTopKQueryInto(
   SelectTopKInto(&fin.elements, k, out);
 }
 
-// Value-returning compatibility form (owns a throwaway Scratch; may
-// allocate).
-template <typename Pri, typename Predicate,
-          typename Element = typename Pri::Element>
-std::vector<Element> BinarySearchTopKQuery(
-    const Pri& pri, const std::vector<double>& weights_desc,
-    const Predicate& q, size_t k, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr) {
-  std::vector<Element> result;
-  Scratch scratch;
-  BinarySearchTopKQueryInto(pri, weights_desc, q, k, &scratch, &result,
-                            stats, tracer);
-  return result;
-}
-
 // Self-contained baseline structure: owns the prioritized structure and
 // the sorted weight list.
 template <typename Problem, typename Pri>
@@ -114,14 +99,8 @@ class BinarySearchTopK {
 
   size_t size() const { return pri_.size(); }
 
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    return BinarySearchTopKQuery(pri_, weights_desc_, q, k, stats, tracer);
-  }
-
-  // Scratch-threaded form: zero allocations once `scratch` and *out are
-  // warm (the serving engine's steady-state path).
+  // The k heaviest elements of q(D), heaviest first, written into *out
+  // (cleared first): zero allocations once `scratch` and *out are warm.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* tracer = nullptr) const {

@@ -3,7 +3,7 @@
 //
 // The paper's reductions never run unbounded work: Theorem 1 replaces
 // counting with prioritized queries that stop at a budget (core/sink.h's
-// MonitoredQuery). BudgetedTopK lifts the same idea one level up, to
+// MonitoredQuery). BudgetedTopKInto lifts the same idea one level up, to
 // whole top-k queries: answer top-k' for k' = 1, 2, 4, ... doubling
 // toward k, consulting a stop predicate between stages. Because every
 // result is sorted heaviest-first under the strict (weight, id) order,
@@ -33,40 +33,13 @@
 
 namespace topk {
 
-template <typename E>
-struct BudgetedResult {
-  // Heaviest-first. A prefix of the true top-k when complete is false;
-  // the full top-k when complete is true.
-  std::vector<E> elements;
-  bool complete = false;
-  size_t stages = 0;  // top-k' queries issued
-};
-
-// Outcome of the in-place form: the elements live in the caller's
-// vector, so only the verdict travels back.
+// Outcome of a staged run: the elements live in the caller's vector,
+// so only the verdict travels back. *out is a prefix of the true top-k
+// when complete is false, the full top-k when complete is true.
 struct BudgetedRun {
   bool complete = false;
   size_t stages = 0;  // top-k' queries issued
 };
-
-// Answers one top-k query into *out (replacing its contents) through
-// the best entry point `s` offers: the reductions' scratch-threaded,
-// traced QueryInto, else the Query every TopKStructure has. The one
-// dispatch point for callers generic over the structure (the stages
-// below, serve::QueryEngine).
-template <typename S>
-  requires TopKStructure<S>
-void TopKQueryInto(const S& s, const typename S::Predicate& q, size_t k,
-                   Scratch* scratch, std::vector<typename S::Element>* out,
-                   QueryStats* stats, trace::Tracer* tracer) {
-  if constexpr (requires {
-                  s.QueryInto(q, k, scratch, out, stats, tracer);
-                }) {
-    s.QueryInto(q, k, scratch, out, stats, tracer);
-  } else {
-    *out = s.Query(q, k, stats);
-  }
-}
 
 // Runs staged top-k' queries against `s` until the answer is complete
 // (k' reached k, or the structure ran out of matches) or should_stop()
@@ -74,9 +47,8 @@ void TopKQueryInto(const S& s, const typename S::Predicate& q, size_t k,
 // ONE buffer reused across the whole doubling ladder (and, when the
 // caller recycles it, across requests). should_stop is any callable
 // examining external state — a cost tally, a deadline clock, a
-// cancellation flag. Each stage goes through TopKQueryInto, so
-// structures with the scratch-threaded QueryInto are served
-// allocation-free.
+// cancellation flag. Each stage is one s.QueryInto on `scratch`, so a
+// warm arena and a warm *out run the whole ladder allocation-free.
 template <typename S, typename StopFn>
   requires TopKStructure<S>
 BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
@@ -99,7 +71,7 @@ BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
     {
       trace::Span stage(tracer, "budgeted_stage", stats);
       stage.Arg("kp", kp);
-      TopKQueryInto(s, q, kp, scratch, out, stats, tracer);
+      s.QueryInto(q, kp, scratch, out, stats, tracer);
     }
     if (kp >= k || out->size() < kp) {
       // Either the full k was answered or the structure has fewer than
@@ -115,25 +87,6 @@ BudgetedRun BudgetedTopKInto(const S& s, const typename S::Predicate& q,
     }
     kp = std::min(k, kp * 2);
   }
-}
-
-// Value-returning compatibility form: owns a throwaway Scratch, so each
-// call may allocate (first-touch pool growth plus the returned vector).
-// The serving engine uses BudgetedTopKInto with its per-worker arena.
-template <typename S, typename StopFn>
-  requires TopKStructure<S>
-BudgetedResult<typename S::Element> BudgetedTopK(
-    const S& s, const typename S::Predicate& q, size_t k,
-    StopFn&& should_stop, QueryStats* stats = nullptr,
-    trace::Tracer* tracer = nullptr) {
-  BudgetedResult<typename S::Element> out;
-  Scratch scratch;
-  const BudgetedRun run =
-      BudgetedTopKInto(s, q, k, should_stop, &scratch, &out.elements,
-                       stats, tracer);
-  out.complete = run.complete;
-  out.stages = run.stages;
-  return out;
 }
 
 }  // namespace topk

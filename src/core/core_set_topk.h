@@ -144,17 +144,6 @@ class CoreSetTopK {
     }
   }
 
-  // The k heaviest elements of q(D), heaviest first (all of q(D) when
-  // |q(D)| < k). Exact for every input and every random draw.
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats, tracer);
-    return result;
-  }
-
   // Values of the thm1_query span's `answered_by` argument.
   static constexpr uint64_t kAnsweredByChain = 0;     // top-f chain, k <= f
   static constexpr uint64_t kAnsweredByLadder = 1;    // pivot fetch, k > f
@@ -162,11 +151,12 @@ class CoreSetTopK {
   static constexpr uint64_t kAnsweredByFullScan = 3;  // k >= n/2
   static constexpr uint64_t kAnsweredByFallback = 4;  // binary search
 
-  // Scratch-threaded form writing into *out (cleared first): every
-  // candidate pool across the small-k chain, the large-k ladder, the
-  // full scan, and the binary-search fallback lives in a buffer
-  // borrowed from `scratch`, so a warm arena and a warm *out serve the
-  // query with zero heap allocations.
+  // The k heaviest elements of q(D), heaviest first (all of q(D) when
+  // |q(D)| < k), written into *out (cleared first). Exact for every
+  // input and every random draw. Every candidate pool across the small-k
+  // chain, the large-k ladder, the full scan, and the binary-search
+  // fallback lives in a buffer borrowed from `scratch`, so a warm arena
+  // and a warm *out serve the query with zero heap allocations.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* tracer = nullptr) const {

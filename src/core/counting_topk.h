@@ -54,18 +54,10 @@ class CountingTopK {
 
   size_t size() const { return n_; }
 
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats);
-    return result;
-  }
-
-  // Scratch-threaded form writing into *out (cleared first): the final
-  // fetch pool is borrowed from `scratch`, so a warm arena and a warm
-  // *out serve the query with zero heap allocations (the binary search
-  // itself only issues counting probes).
+  // The k heaviest elements of q(D), heaviest first, written into *out
+  // (cleared first). The final fetch pool is borrowed from `scratch`,
+  // so a warm arena and a warm *out serve the query with zero heap
+  // allocations (the binary search itself only issues counting probes).
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
                  std::vector<Element>* out, QueryStats* stats = nullptr,
                  trace::Tracer* tracer = nullptr) const {

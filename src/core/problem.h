@@ -33,7 +33,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/scratch.h"
 #include "common/stats.h"
+#include "trace/tracer.h"
 
 namespace topk {
 
@@ -135,18 +137,41 @@ concept CounterStructure =
 // layer consumes; see serve/shareable.h for the thread-shareable
 // refinement).
 //
-// Semantics: Query(q, k, stats) returns the min(k, |q(D)|) heaviest
+// Signature (checked here):
+//   size_t size() const;
+//   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
+//                  std::vector<Element>* out, QueryStats* stats,
+//                  trace::Tracer* tracer) const;
+//
+// Semantics: QueryInto replaces *out with the min(k, |q(D)|) heaviest
 // elements of q(D) sorted heaviest-first under (weight, id) — callers
 // (tests, the serving layer, TopKToPrioritized) rely on exact,
-// descending results.
+// descending results. Every candidate pool is borrowed from *scratch,
+// so a warm arena and a warm *out answer with zero heap allocations;
+// stats and tracer may be null.
 template <typename S>
 concept TopKStructure =
-    requires(const S& s, const typename S::Predicate& q, QueryStats* stats) {
-      typename S::Element;
+    requires(const S& s, const typename S::Predicate& q, Scratch* scratch,
+             std::vector<typename S::Element>* out, QueryStats* stats,
+             trace::Tracer* tracer) {
       { s.size() } -> std::convertible_to<size_t>;
-      { s.Query(q, size_t{1}, stats) } ->
-          std::convertible_to<std::vector<typename S::Element>>;
+      s.QueryInto(q, size_t{1}, scratch, out, stats, tracer);
     };
+
+// The top-k answer as a fresh vector, for callers without an arena
+// (tests, benches, examples): owns a throwaway Scratch, so every call
+// may allocate. The serving engine calls QueryInto with its per-worker
+// arena instead.
+template <TopKStructure S>
+std::vector<typename S::Element> Query(const S& s,
+                                       const typename S::Predicate& q,
+                                       size_t k, QueryStats* stats = nullptr,
+                                       trace::Tracer* tracer = nullptr) {
+  std::vector<typename S::Element> out;
+  Scratch scratch;
+  s.QueryInto(q, k, &scratch, &out, stats, tracer);
+  return out;
+}
 
 // As TopKStructure, additionally pinning the structure to a problem's
 // element/predicate types (used where a reduction hands a top-k

@@ -167,19 +167,9 @@ class SampledTopK {
     }
   }
 
-  // The k heaviest elements of q(D), heaviest first. Exact always;
-  // expected cost O(Q_pri + Q_max + k/B).
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr,
-                             trace::Tracer* tracer = nullptr) const {
-    std::vector<Element> result;
-    Scratch scratch;
-    QueryInto(q, k, &scratch, &result, stats, tracer);
-    return result;
-  }
-
-  // Scratch-threaded form writing into *out (cleared first): every
-  // round's probe and fetch pool is borrowed from `scratch` and
+  // The k heaviest elements of q(D), heaviest first, written into *out
+  // (cleared first). Exact always; expected cost O(Q_pri + Q_max + k/B).
+  // Every round's probe and fetch pool is borrowed from `scratch` and
   // recycled, so a warm arena and a warm *out serve the query with zero
   // heap allocations.
   void QueryInto(const Predicate& q, size_t k, Scratch* scratch,

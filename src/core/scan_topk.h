@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "common/kselect.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/problem.h"
+#include "trace/tracer.h"
 
 namespace topk {
 
@@ -27,17 +29,18 @@ class ScanTopK {
 
   size_t size() const { return data_.size(); }
 
-  // The k heaviest elements of q(D), heaviest first.
-  std::vector<Element> Query(const Predicate& q, size_t k,
-                             QueryStats* stats = nullptr) const {
+  // The k heaviest elements of q(D), heaviest first, written into *out
+  // (cleared first). The match pool is borrowed from `scratch`.
+  void QueryInto(const Predicate& q, size_t k, Scratch* scratch,
+                 std::vector<Element>* out, QueryStats* stats = nullptr,
+                 trace::Tracer* /*tracer*/ = nullptr) const {
     AddNodes(stats, data_.size());
     if (stats != nullptr) ++stats->full_scans;
-    std::vector<Element> pool;
+    ScratchVec<Element> pool = scratch->Borrow<Element>();
     for (const Element& e : data_) {
       if (Problem::Matches(q, e)) pool.push_back(e);
     }
-    SelectTopK(&pool, k);
-    return pool;
+    SelectTopKInto(&pool, k, out);
   }
 
  private:

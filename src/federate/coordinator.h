@@ -244,13 +244,6 @@ class Coordinator {
     return status;
   }
 
-  // Convenience value form (allocates; tests and cold paths).
-  serve::QueryResult<Element> Query(const Predicate& q, size_t k) {
-    serve::QueryResult<Element> r;
-    r.status = QueryInto(q, k, &r.elements);
-    return r;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 

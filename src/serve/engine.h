@@ -42,7 +42,7 @@
 // ShareableTopKStructure — const-queryable with no hidden mutable
 // state. EM-backed structures fail that concept (their BufferPool is
 // single-threaded mutable state) and are rejected at compile time.
-// Results are bitwise-identical to single-threaded Query calls: the
+// Results are bitwise-identical to single-threaded QueryInto calls: the
 // structures are deterministic at query time, so only the interleaving
 // of *accounting* differs — and QueryStats addition is commutative.
 
@@ -81,7 +81,7 @@ struct Request {
   size_t k = 1;
   // Degradation knobs; 0 disables either. cost_budget is in QueryStats
   // work units (QueryStats::work); deadline_ns is wall-clock time from
-  // batch start. A request with neither runs the plain single Query.
+  // batch start. A request with neither runs one plain QueryInto.
   uint64_t cost_budget = 0;
   uint64_t deadline_ns = 0;
 };
@@ -377,8 +377,8 @@ class QueryEngine {
       return;
     }
     if (r.cost_budget == 0 && !has_deadline) {
-      TopKQueryInto(*structure, r.predicate, r.k, scratch,
-                    &slot->elements, stats, tracer);
+      structure->QueryInto(r.predicate, r.k, scratch, &slot->elements,
+                           stats, tracer);
       slot->status = ResultStatus::kOk;
       return;
     }

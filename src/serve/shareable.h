@@ -1,12 +1,15 @@
 // Compile-time gate: which structures may be shared across QueryEngine
 // worker threads?
 //
-// Every static structure in the repo is const-queryable with no hidden
-// mutable state, so concurrent Query calls on one instance are safe —
-// EXCEPT the external-memory structures: even a read-only EM query
-// mutates its BufferPool (LRU list, frames, hit/miss and I/O counters),
-// which is deliberately single-threaded state. Those are rejected here
-// at compile time rather than corrupting I/O accounting at runtime.
+// A shareable structure is a core/problem.h TopKStructure: its one query
+// member is QueryInto(q, k, scratch, out, stats, tracer). Every static
+// structure in the repo is const-queryable with no hidden mutable state,
+// so concurrent QueryInto calls on one instance (each with its own
+// Scratch) are safe — EXCEPT the external-memory structures: even a
+// read-only EM query mutates its BufferPool (LRU list, frames, hit/miss
+// and I/O counters), which is deliberately single-threaded state. Those
+// are rejected here at compile time rather than corrupting I/O
+// accounting at runtime.
 //
 // Detection: the EM substrates carry `static constexpr bool
 // kExternalMemory = true`, and the reductions export their substrate
@@ -78,17 +81,11 @@ consteval bool DeclaresUnshareableQuery() {
   return false;
 }
 
-// Any top-k structure: const-queryable `Query(q, k, stats)` returning
-// the k heaviest matches. The canonical contract lives in
-// core/problem.h; this re-export keeps the serve:: spelling stable.
-template <typename S>
-concept TopKStructure = ::topk::TopKStructure<S>;
-
 // A top-k structure whose const queries are safe to issue from many
 // threads against one shared instance.
 template <typename S>
 concept ShareableTopKStructure =
-    TopKStructure<S> && !UsesExternalMemory<S>() &&
+    topk::TopKStructure<S> && !UsesExternalMemory<S>() &&
     !DeclaresUnshareableQuery<S>();
 
 }  // namespace topk::serve

@@ -1,7 +1,8 @@
 // Zero-allocation steady state: once a QueryEngine's per-worker scratch
 // arenas and recycled result slots are warm, serving a batch performs
-// ZERO heap allocations — for all four reductions, on both the plain
-// and the cost-budgeted (BudgetedTopKInto) paths. Counted by replacing
+// ZERO heap allocations — for every top-k structure in src/ (the four
+// reductions, ScanTopK and HeapSelectTopK), on both the plain and the
+// cost-budgeted (BudgetedTopKInto) paths. Counted by replacing
 // the global operator new/delete in this TU; any allocation anywhere in
 // the process during the measured window fails the test, so the
 // assertion covers the engine, the reductions, the substrates, and the
@@ -28,9 +29,11 @@
 #include "core/core_set_topk.h"
 #include "core/counting_topk.h"
 #include "core/sampled_topk.h"
+#include "core/scan_topk.h"
 #include "federate/coordinator.h"
 #include "federate/shard_map.h"
 #include "range1d/count_tree.h"
+#include "range1d/direct_topk.h"
 #include "range1d/point1d.h"
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
@@ -81,6 +84,7 @@ namespace topk {
 namespace {
 
 using range1d::CountTree;
+using range1d::HeapSelectTopK;
 using range1d::Point1D;
 using range1d::PrioritySearchTree;
 using range1d::Range1D;
@@ -91,6 +95,7 @@ using Thm1 = CoreSetTopK<Range1DProblem, PrioritySearchTree>;
 using Thm2 = SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax>;
 using Baseline = BinarySearchTopK<Range1DProblem, PrioritySearchTree>;
 using Counting = CountingTopK<Range1DProblem, PrioritySearchTree, CountTree>;
+using Scan = ScanTopK<Range1DProblem>;
 
 constexpr size_t kN = 1500;
 
@@ -231,6 +236,20 @@ TEST(AllocRegression, BinarySearchTopKZeroSteadyStateAllocs) {
 TEST(AllocRegression, CountingTopKZeroSteadyStateAllocs) {
   TOPK_SKIP_UNDER_SANITIZERS();
   Counting s(Data());
+  ExpectZeroAllocSteadyState(s);
+  ExpectZeroAllocSteadyStateThreaded(s);
+}
+
+TEST(AllocRegression, ScanTopKZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  Scan s(Data());
+  ExpectZeroAllocSteadyState(s);
+  ExpectZeroAllocSteadyStateThreaded(s);
+}
+
+TEST(AllocRegression, HeapSelectTopKZeroSteadyStateAllocs) {
+  TOPK_SKIP_UNDER_SANITIZERS();
+  HeapSelectTopK s(Data());
   ExpectZeroAllocSteadyState(s);
   ExpectZeroAllocSteadyStateThreaded(s);
 }
@@ -454,26 +473,38 @@ TEST(AllocRegression, FederatedFanoutAndCacheHitZeroSteadyStateAllocs) {
   }
 }
 
-// The compatibility Query() overloads own a throwaway Scratch — they
-// may allocate, but must return bit-identical answers to the scratch
-// path (the engine results are checked against brute force above; this
-// pins the two entry points to each other directly).
-TEST(AllocRegression, CompatQueryMatchesScratchPath) {
-  const std::vector<Point1D> data = Data();
-  Thm1 s(data);
+// topk::Query owns a throwaway Scratch — it may allocate, but must
+// return bit-identical answers to QueryInto on a reused arena (the
+// engine results are checked against brute force above; this pins the
+// two entry points to each other directly). k spans 1 to ~n/2, so the
+// small-k, large-k and full-scan routes and every selection strategy
+// are compared.
+template <typename Structure>
+void ExpectQueryMatchesQueryInto(const Structure& s) {
   Scratch scratch;
   std::vector<Point1D> out;
   Rng rng(7);
-  for (int i = 0; i < 50; ++i) {
+  for (size_t i = 0; i < 50; ++i) {
     double lo = rng.NextDouble();
     double hi = rng.NextDouble();
     if (lo > hi) std::swap(lo, hi);
     const Range1D q{lo, hi};
-    const size_t k = 1 + static_cast<size_t>(i) % 40;
+    const size_t k = 1 + i * i % (kN / 2);
     s.QueryInto(q, k, &scratch, &out);
-    EXPECT_EQ(test::IdsOf(out), test::IdsOf(s.Query(q, k)));
+    EXPECT_EQ(test::IdsOf(out), test::IdsOf(Query(s, q, k)))
+        << "query " << i;
   }
   EXPECT_EQ(scratch.outstanding(), 0u);
+}
+
+TEST(AllocRegression, CompatQueryMatchesScratchPath) {
+  const std::vector<Point1D> data = Data();
+  ExpectQueryMatchesQueryInto(Thm1(data));
+  ExpectQueryMatchesQueryInto(Thm2(data));
+  ExpectQueryMatchesQueryInto(Baseline(data));
+  ExpectQueryMatchesQueryInto(Counting(data));
+  ExpectQueryMatchesQueryInto(Scan(data));
+  ExpectQueryMatchesQueryInto(HeapSelectTopK(data));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "audit/checked_prioritized.h"
 #include "circle/circular.h"
 #include "common/random.h"
+#include "common/scratch.h"
 #include "common/stats.h"
 #include "core/binary_search_topk.h"
 #include "core/core_set_topk.h"
@@ -38,6 +39,7 @@
 #include "range1d/pst.h"
 #include "range1d/range_max.h"
 #include "serve/shareable.h"
+#include "trace/tracer.h"
 #include "test_util.h"
 
 namespace topk {
@@ -188,7 +190,7 @@ static_assert(requires {
 
 // --- Thread-shareability gate (serve/shareable.h) ------------------------
 
-// A memoizing top-k structure: Query is const but caches the last answer
+// A memoizing top-k structure: QueryInto is const but caches the last answer
 // in a mutable member — correct single-threaded, a data race under the
 // engine. Its mutable query state is declared via the kThreadSafeQuery
 // marker and the gate rejects it. (The *undeclared* variant — a mutable
@@ -203,18 +205,18 @@ class MemoizedTopK {
   explicit MemoizedTopK(std::vector<Point1D> data)
       : data_(std::move(data)) {}
   size_t size() const { return data_.size(); }
-  std::vector<Point1D> Query(const Range1D& q, size_t k,
-                             QueryStats* stats = nullptr) const {
-    (void)stats;
+  void QueryInto(const Range1D& q, size_t k, Scratch*,
+                 std::vector<Point1D>* out, QueryStats*,
+                 trace::Tracer*) const {
     cache_ = test::BruteTopK<Range1DProblem>(data_, q, k);
-    return cache_;
+    *out = cache_;
   }
 
  private:
   std::vector<Point1D> data_;
   mutable std::vector<Point1D> cache_;  // lint: mutable-ok (marker above)
 };
-static_assert(serve::TopKStructure<MemoizedTopK>);
+static_assert(TopKStructure<MemoizedTopK>);
 static_assert(!serve::ShareableTopKStructure<MemoizedTopK>);
 
 // A leaf with the EM marker is rejected outright...
@@ -223,9 +225,8 @@ struct FakeEmTopK {
   using Predicate = Range1D;
   static constexpr bool kExternalMemory = true;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*) const {}
 };
 static_assert(!serve::ShareableTopKStructure<FakeEmTopK>);
 
@@ -235,9 +236,8 @@ struct WrapsFakeEm {
   using Predicate = Range1D;
   using Prioritized = FakeEmTopK;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*) const {}
 };
 static_assert(!serve::ShareableTopKStructure<WrapsFakeEm>);
 
@@ -249,13 +249,25 @@ struct HidesFakeEm {
   using Element = Point1D;
   using Predicate = Range1D;
   size_t size() const { return 0; }
-  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
-    return {};
-  }
+  void QueryInto(const Range1D&, size_t, Scratch*, std::vector<Point1D>*,
+                 QueryStats*, trace::Tracer*) const {}
  private:
   [[maybe_unused]] FakeEmTopK hidden_;
 };
 static_assert(serve::ShareableTopKStructure<HidesFakeEm>);
+
+// QueryInto is the one query member the contract names: a structure
+// offering only a value-returning Query(q, k, stats) is not a top-k
+// structure.
+struct OnlyValueQuery {
+  using Element = Point1D;
+  using Predicate = Range1D;
+  size_t size() const { return 0; }
+  std::vector<Point1D> Query(const Range1D&, size_t, QueryStats*) const {
+    return {};
+  }
+};
+static_assert(!TopKStructure<OnlyValueQuery>);
 
 // The audit wrappers forward shareability through their substrate alias:
 // auditing a RAM-backed reduction keeps it engine-shareable.
@@ -270,19 +282,20 @@ TEST(MonitoredQuery, BudgetBoundaries) {
   std::vector<Point1D> data = test::RandomPoints1D(100, &rng);
   PrioritySearchTree pst(data);
   const Range1D all{0.0, 1.0};
+  Scratch scratch;
 
-  auto r0 = MonitoredQuery(pst, all, kNegInf, 0, nullptr);
+  auto r0 = MonitoredQuery(pst, all, kNegInf, 0, &scratch, nullptr);
   EXPECT_TRUE(r0.hit_budget);
   EXPECT_TRUE(r0.elements.empty());
 
   // budget == |result|: every element is fetched but the budget is hit,
   // so the caller cannot distinguish completeness — exactly the paper's
   // "4K+1" idiom requires one extra slot.
-  auto r100 = MonitoredQuery(pst, all, kNegInf, 100, nullptr);
+  auto r100 = MonitoredQuery(pst, all, kNegInf, 100, &scratch, nullptr);
   EXPECT_TRUE(r100.hit_budget);
   EXPECT_EQ(r100.elements.size(), 100u);
 
-  auto r101 = MonitoredQuery(pst, all, kNegInf, 101, nullptr);
+  auto r101 = MonitoredQuery(pst, all, kNegInf, 101, &scratch, nullptr);
   EXPECT_FALSE(r101.hit_budget);
   EXPECT_EQ(r101.elements.size(), 100u);
 }
@@ -291,7 +304,8 @@ TEST(MonitoredQuery, ChargesStats) {
   Rng rng(2);
   PrioritySearchTree pst(test::RandomPoints1D(100, &rng));
   QueryStats stats;
-  MonitoredQuery(pst, Range1D{0.0, 1.0}, kNegInf, 50, &stats);
+  Scratch scratch;
+  MonitoredQuery(pst, Range1D{0.0, 1.0}, kNegInf, 50, &scratch, &stats);
   EXPECT_EQ(stats.prioritized_queries, 1u);
   EXPECT_EQ(stats.elements_emitted, 50u);
   EXPECT_GT(stats.nodes_visited, 0u);
@@ -312,8 +326,8 @@ TEST(Determinism, SameSeedSameAnswersAndStats) {
     double lo = rng.NextDouble(), hi = rng.NextDouble();
     if (lo > hi) std::swap(lo, hi);
     QueryStats sa, sb;
-    auto ra = a.Query({lo, hi}, 25, &sa);
-    auto rb = b.Query({lo, hi}, 25, &sb);
+    auto ra = Query(a, {lo, hi}, 25, &sa);
+    auto rb = Query(b, {lo, hi}, 25, &sb);
     EXPECT_EQ(test::IdsOf(ra), test::IdsOf(rb));
     EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
     EXPECT_EQ(sa.fallbacks, sb.fallbacks);
@@ -327,7 +341,7 @@ TEST(Determinism, DifferentSeedsStillExact) {
     ReductionOptions opts;
     opts.seed = seed;
     SampledTopK<Range1DProblem, PrioritySearchTree, RangeMax> s(data, opts);
-    auto got = s.Query({0.1, 0.9}, 40);
+    auto got = Query(s, {0.1, 0.9}, 40);
     auto want = test::BruteTopK<Range1DProblem>(data, {0.1, 0.9}, 40);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want)) << "seed=" << seed;
   }
@@ -386,11 +400,11 @@ TEST(EmissionOrder, ReductionsExactOverAscendingEmitter) {
     if (lo > hi) std::swap(lo, hi);
     for (size_t k : {size_t{1}, size_t{20}, size_t{500}, size_t{8000}}) {
       auto want = test::BruteTopK<Range1DProblem>(data, {lo, hi}, k);
-      ASSERT_EQ(test::IdsOf(thm1.Query({lo, hi}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(thm2.Query({lo, hi}, k)), test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(baseline.Query({lo, hi}, k)),
+      ASSERT_EQ(test::IdsOf(Query(thm1, {lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(Query(thm2, {lo, hi}, k)), test::IdsOf(want));
+      ASSERT_EQ(test::IdsOf(Query(baseline, {lo, hi}, k)),
                 test::IdsOf(want));
-      ASSERT_EQ(test::IdsOf(counting.Query({lo, hi}, k)),
+      ASSERT_EQ(test::IdsOf(Query(counting, {lo, hi}, k)),
                 test::IdsOf(want));
     }
   }
@@ -411,9 +425,9 @@ TEST(OutputOrder, AlwaysHeaviestFirst) {
   };
   for (int trial = 0; trial < 10; ++trial) {
     const double lo = rng.NextDouble() * 5000, hi = lo + 2000;
-    check_sorted(thm1.Query({lo, hi}, 100));
-    check_sorted(thm2.Query({lo, hi}, 100));
-    check_sorted(base.Query({lo, hi}, 100));
+    check_sorted(Query(thm1, {lo, hi}, 100));
+    check_sorted(Query(thm2, {lo, hi}, 100));
+    check_sorted(Query(base, {lo, hi}, 100));
   }
 }
 

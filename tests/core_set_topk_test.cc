@@ -34,20 +34,20 @@ using TopK = CoreSetTopK<Range1DProblem,
 
 TEST(CoreSetTopK, EmptyInput) {
   TopK topk({});
-  EXPECT_TRUE(topk.Query({0, 1}, 5).empty());
+  EXPECT_TRUE(Query(topk, {0, 1}, 5).empty());
 }
 
 TEST(CoreSetTopK, KZero) {
   Rng rng(1);
   TopK topk(test::RandomPoints1D(100, &rng));
-  EXPECT_TRUE(topk.Query({0, 1}, 0).empty());
+  EXPECT_TRUE(Query(topk, {0, 1}, 0).empty());
 }
 
 TEST(CoreSetTopK, EmptyPredicate) {
   Rng rng(2);
   TopK topk(test::RandomPoints1D(100, &rng));
-  EXPECT_TRUE(topk.Query({2.0, 3.0}, 5).empty());
-  EXPECT_TRUE(topk.Query({0.7, 0.2}, 5).empty());  // inverted
+  EXPECT_TRUE(Query(topk, {2.0, 3.0}, 5).empty());
+  EXPECT_TRUE(Query(topk, {0.7, 0.2}, 5).empty());  // inverted
 }
 
 TEST(CoreSetTopK, KBeyondMatchCountReturnsAllMatches) {
@@ -55,7 +55,7 @@ TEST(CoreSetTopK, KBeyondMatchCountReturnsAllMatches) {
   std::vector<Point1D> data = test::RandomPoints1D(200, &rng);
   TopK topk(data);
   const Range1D q{0.4, 0.6};
-  auto got = topk.Query(q, 10'000);
+  auto got = Query(topk, q, 10'000);
   auto want = test::BruteTopK<Range1DProblem>(data, q, 10'000);
   EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
 }
@@ -73,7 +73,7 @@ TEST(CoreSetTopK, StatsAreCharged) {
   std::vector<Point1D> data = test::RandomPoints1D(2000, &rng);
   TopK topk(data);
   QueryStats stats;
-  topk.Query({0.0, 1.0}, 3, &stats);
+  Query(topk, {0.0, 1.0}, 3, &stats);
   EXPECT_GT(stats.prioritized_queries, 0u);
   EXPECT_GT(stats.nodes_visited, 0u);
 }
@@ -113,7 +113,7 @@ TEST_P(CoreSetSweep, MatchesBruteForceAcrossKRegimes) {
     const Range1D q{a, b};
     for (size_t k : ks) {
       if (k == 0) continue;
-      auto got = topk.Query(q, k);
+      auto got = Query(topk, q, k);
       auto want = test::BruteTopK<Range1DProblem>(data, q, k);
       ASSERT_EQ(test::IdsOf(got), test::IdsOf(want))
           << "n=" << p.n << " k=" << k << " scale=" << p.scale
@@ -148,7 +148,7 @@ TEST(CoreSetTopK, UnluckySamplesFallBackAndStayExact) {
     double b = rng.NextDouble();
     if (a > b) std::swap(a, b);
     const size_t k = 1 + static_cast<size_t>(rng.Below(200));
-    auto got = topk.Query({a, b}, k, &stats);
+    auto got = Query(topk, {a, b}, k, &stats);
     auto want = test::BruteTopK<Range1DProblem>(data, {a, b}, k);
     ASSERT_EQ(test::IdsOf(got), test::IdsOf(want));
   }
@@ -175,7 +175,7 @@ TEST(CoreSetTopK, WidePredicateSkipsTheDiscardedProbe) {
     ASSERT_GT(test::BruteTopK<Range1DProblem>(data, q, n).size(), 4 * f);
     for (const size_t k : {size_t{1}, size_t{100}, f}) {
       QueryStats stats;
-      auto got = topk.Query(q, k, &stats);
+      auto got = Query(topk, q, k, &stats);
       ASSERT_EQ(test::IdsOf(got),
                 test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)));
       EXPECT_EQ(stats.fallbacks, 0u);
@@ -208,7 +208,7 @@ TEST(CoreSetTopK, RungBelowPivotRankGoesStraightToTheProbe) {
                           Range1D{0.15, 0.85}}) {
     for (const size_t k : {8 * f + 1, size_t{50000}, n / 2 - 1}) {
       QueryStats stats;
-      auto got = topk.Query(q, k, &stats, &tracer);
+      auto got = Query(topk, q, k, &stats, &tracer);
       ASSERT_EQ(test::IdsOf(got),
                 test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)));
       EXPECT_EQ(stats.fallbacks, 0u);

@@ -75,15 +75,15 @@ TEST_P(SeedSweep, AllRange1DImplementationsAgree) {
       if (k == 0) continue;
       auto want = test::BruteTopK<Range1DProblem>(data, q, k);
       const auto want_ids = test::IdsOf(want);
-      ASSERT_EQ(test::IdsOf(thm1.Query(q, k)), want_ids) << "thm1";
-      ASSERT_EQ(test::IdsOf(thm2_static.Query(q, k)), want_ids)
+      ASSERT_EQ(test::IdsOf(Query(thm1, q, k)), want_ids) << "thm1";
+      ASSERT_EQ(test::IdsOf(Query(thm2_static, q, k)), want_ids)
           << "thm2_static";
-      ASSERT_EQ(test::IdsOf(thm2_dynamic.Query(q, k)), want_ids)
+      ASSERT_EQ(test::IdsOf(Query(thm2_dynamic, q, k)), want_ids)
           << "thm2_dynamic";
-      ASSERT_EQ(test::IdsOf(baseline.Query(q, k)), want_ids) << "baseline";
-      ASSERT_EQ(test::IdsOf(counting.Query(q, k)), want_ids) << "counting";
-      ASSERT_EQ(test::IdsOf(direct.Query(q, k)), want_ids) << "direct";
-      ASSERT_EQ(test::IdsOf(scan.Query(q, k)), want_ids) << "scan";
+      ASSERT_EQ(test::IdsOf(Query(baseline, q, k)), want_ids) << "baseline";
+      ASSERT_EQ(test::IdsOf(Query(counting, q, k)), want_ids) << "counting";
+      ASSERT_EQ(test::IdsOf(Query(direct, q, k)), want_ids) << "direct";
+      ASSERT_EQ(test::IdsOf(Query(scan, q, k)), want_ids) << "scan";
     }
   }
 }
@@ -108,7 +108,7 @@ void ExpectSaturatedTiesExact(const S& s, const std::vector<Point1D>& data,
     if (lo > hi) std::swap(lo, hi);
     const Range1D q{lo, hi};
     for (size_t k : ks) {
-      ASSERT_EQ(test::IdsOf(s.Query(q, k)),
+      ASSERT_EQ(test::IdsOf(Query(s, q, k)),
                 test::IdsOf(test::BruteTopK<Range1DProblem>(data, q, k)))
           << "k=" << k << " q=[" << lo << "," << hi << "]";
     }
@@ -175,8 +175,8 @@ TEST_P(StabSeedSweep, KdAndSegTreeSubstratesAgree) {
     // Top-k agreement between the two Theorem 2 instantiations.
     for (size_t k : {size_t{1}, size_t{25}}) {
       auto want_topk = test::BruteTopK<interval::StabProblem>(data, q, k);
-      ASSERT_EQ(test::IdsOf(thm2_kd.Query(q, k)), test::IdsOf(want_topk));
-      ASSERT_EQ(test::IdsOf(thm2_seg.Query(q, k)), test::IdsOf(want_topk));
+      ASSERT_EQ(test::IdsOf(Query(thm2_kd, q, k)), test::IdsOf(want_topk));
+      ASSERT_EQ(test::IdsOf(Query(thm2_seg, q, k)), test::IdsOf(want_topk));
     }
   }
 }

@@ -2,8 +2,8 @@
 // zero-allocation steady-state contract three ways (owning vector
 // local, `new`, push_back onto a member). The ScratchVec local, the
 // .vec() reference, the out-parameter, and the suppressed line must
-// NOT be flagged; nor may anything in the allocating Query() compat
-// overload (hot-path scoping is by function name, `*Into`).
+// NOT be flagged; nor may the allocating Query() standing in for the
+// free topk::Query helper (hot-path scoping is by name, `*Into`).
 
 #include <vector>
 
@@ -31,7 +31,7 @@ class SabHotStructure {
     (void)oops;
   }
 
-  // Allocating compat overload: deliberately outside the hot set.
+  // Allocating, like topk::Query: deliberately outside the hot set.
   std::vector<SabPoint> Query(int q, unsigned long k) const {
     std::vector<SabPoint> result;
     result.push_back(SabPoint{});

@@ -20,8 +20,8 @@
 #   hotpath-alloc  an owning std::vector local, a `new`, and a
 #                  push_back onto a non-scratch member, all inside a
 #                  *Into hot body (ScratchVec locals, .vec() refs,
-#                  out-parameters, and the allocating Query() compat
-#                  overload stay clean)
+#                  out-parameters, and an allocating non-*Into Query()
+#                  like the free topk::Query helper stay clean)
 #   posture        a class with its own unmarked mutable member while a
 #                  SIBLING class in the same file carries the marker
 #                  (the file-scope hole lint.py cannot see), and a

@@ -191,7 +191,7 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem1) {
     const Range1D q{std::min(a, b), std::max(a, b)};
     const size_t k = 1 + qrng.Below(200);
     QueryStats stats;
-    auto got = topk.Query(q, k, &stats, &tracer);
+    auto got = Query(topk, q, k, &stats, &tracer);
     auto want = test::BruteTopK<Range1DProblem>(data, q, k);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
     ASSERT_EQ(tracer.dropped(), 0u);
@@ -233,7 +233,7 @@ TEST(Tracer, Theorem1AnsweredByNamesTheRoute) {
                        : rep % 2 == 0 ? 1 + qrng.Below(topk.f())
                                       : topk.f() + 1 + qrng.Below(2000);
       QueryStats stats;
-      auto got = topk.Query({a, b}, k, &stats, &tracer);
+      auto got = Query(topk, {a, b}, k, &stats, &tracer);
       ASSERT_EQ(test::IdsOf(got),
                 test::IdsOf(test::BruteTopK<Range1DProblem>(data, {a, b}, k)));
       ASSERT_EQ(tracer.dropped(), 0u);
@@ -270,7 +270,7 @@ TEST(Tracer, SelfCountsTelescopeOnTheorem2) {
     const Range1D q{std::min(a, b), std::max(a, b)};
     const size_t k = 1 + qrng.Below(200);
     QueryStats stats;
-    auto got = topk.Query(q, k, &stats, &tracer);
+    auto got = Query(topk, q, k, &stats, &tracer);
     auto want = test::BruteTopK<Range1DProblem>(data, q, k);
     EXPECT_EQ(test::IdsOf(got), test::IdsOf(want));
     ASSERT_EQ(tracer.dropped(), 0u);

@@ -22,8 +22,8 @@ and runs four whole-program checks:
                 "scratch memory contract"): inside the body of any
                 function whose name ends in `Into` (QueryInto,
                 BudgetedTopKInto, ScanAllInto, ... — the scratch-
-                threaded entry points; the `Query(...)` compat
-                overloads deliberately own a throwaway Scratch and are
+                threaded entry points; the free `topk::Query(s, q, k)`
+                helper deliberately owns a throwaway Scratch and is
                 exempt) there must be no `new`, no owning
                 std::vector/std::string locals, and no push_back /
                 emplace_back whose receiver is not scratch-backed (a
